@@ -15,11 +15,26 @@ rack-pair byte granularity, one topology slice at a time:
 Flow completion times fall out of per-rack-pair backlog draining: the
 paper's shuffle starts all flows at once and RotorLB round-robins packets
 across a pair's flows, so a pair's flows complete when its backlog drains.
+
+Bit identity. The model is defined one circuit at a time, in (up switch,
+rack) order, and every float a run reports is the one that sequential
+definition gives, bit for bit; tests pin full results by hash.
+
+Cost per slice. A matching is an involution, so within one switch each
+rack sends on one circuit and receives on one. The direct sends of a
+switch's circuits therefore cannot see each other and run as array
+operations over its circuits. Only circuits left with budget and a
+backlogged sender take VLB moves, in scalar Python, each an argmax over
+one rack's backlog row. Completion detection is one mask operation over
+the rack pairs, and the circuits of one schedule cycle are built once
+per run. A slice costs a few array operations per up switch, O(n^2)
+element work inside numpy, and the VLB moves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +58,18 @@ class FluidResult:
     slices_run: int
 
     def completion_percentile_ms(self, percentile: float) -> float | None:
-        done = sorted(
-            v for v in self.pair_completion_ms.values() if v is not None
+        """Pair completion time at ``percentile``, ranked over all pairs.
+
+        Unfinished pairs rank last (as +inf), so the result is None when
+        the rank lands on one, or when there are no pairs at all.
+        """
+        times = sorted(
+            math.inf if v is None else v for v in self.pair_completion_ms.values()
         )
-        if not done:
+        if not times:
             return None
-        idx = min(len(done) - 1, max(0, int(np.ceil(percentile / 100 * len(done))) - 1))
-        return done[idx]
+        idx = min(len(times) - 1, max(0, int(np.ceil(percentile / 100 * len(times))) - 1))
+        return None if times[idx] == math.inf else times[idx]
 
     @property
     def all_complete(self) -> bool:
@@ -123,6 +143,10 @@ class RotorFluidSimulation:
         """Add rack-pair backlog (bytes); diagonal must be zero."""
         if matrix_bytes.shape != (self.n, self.n):
             raise ValueError("demand matrix shape mismatch")
+        if not np.all(np.isfinite(matrix_bytes)):
+            raise ValueError("demand matrix has a NaN or infinite entry")
+        if np.any(matrix_bytes < 0):
+            raise ValueError("demand matrix has a negative entry")
         if np.any(np.diag(matrix_bytes) != 0):
             raise ValueError("rack-local demand never enters the fabric")
         self.local += matrix_bytes
@@ -138,41 +162,99 @@ class RotorFluidSimulation:
 
     # ---------------------------------------------------------------- run
 
-    def _circuits(self, s: int) -> list[tuple[int, int]]:
-        """Directed circuits (a -> b) live during slice ``s``."""
-        out = []
-        if isinstance(self.schedule, OperaSchedule):
-            switches = self.schedule.up_switches(s)
-        else:
-            switches = range(self.schedule.n_switches)
-        for w in switches:
-            matching = self.schedule.matching_of(w, s)
-            for a in range(self.n):
-                b = matching[a]
-                if a != b:
-                    out.append((a, b))
-        return out
+    def _circuit_table(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Circuits ``src -> dst`` of every slice in one cycle, per up switch.
+
+        Slice ``s`` runs entry ``s % cycle_slices``: its up switches in
+        order, each with its live circuits in rack order. That order is
+        part of the result. Slices that show the same matching share its
+        arrays, so the table holds one pair per matching.
+        """
+        sched = self.schedule
+        racks = np.arange(self.n)
+        arrays: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        table = []
+        for s in range(sched.cycle_slices):
+            if isinstance(sched, OperaSchedule):
+                switches = sched.up_switches(s)
+            else:
+                switches = range(sched.n_switches)
+            circuits = []
+            for w in switches:
+                matching = sched.matching_of(w, s)
+                if matching not in arrays:
+                    peer = np.asarray(matching)
+                    src = np.flatnonzero(peer != racks)
+                    arrays[matching] = (src, peer[src])
+                circuits.append(arrays[matching])
+            table.append(circuits)
+        return table
+
+    def _ship_vlb(
+        self,
+        a: int,
+        b: int,
+        left: float,
+        headroom: float,
+        nic_out: np.ndarray,
+        vlb_out: np.ndarray,
+    ) -> None:
+        """Move rack ``a``'s most backlogged other-destination bytes to b.
+
+        ``left`` is the circuit's unused budget and ``headroom`` the room
+        in b's relay queues. The moved bytes wait in b's relay queue for a
+        circuit to their destination.
+        """
+        row = self.local[a]
+        relay_b = self.relay[b]
+        out = nic_out[a]
+        while left > 1.0 and headroom > 1.0 and out > 1.0:
+            # Zeroing b's entry for the argmax (then restoring it) keeps
+            # numpy's first-index tie-break without copying the row.
+            kept = row[b]
+            row[b] = 0.0
+            x = int(row.argmax())
+            most = row[x]
+            row[b] = kept
+            if most <= 0:
+                break
+            move = min(left, most, headroom, out)
+            row[x] -= move
+            relay_b[x] += move
+            vlb_out[a, x] += move
+            out -= move
+            left -= move
+            headroom -= move
+        nic_out[a] = out
 
     def run(self, max_slices: int = 10_000) -> FluidResult:
+        if max_slices < 1:
+            raise ValueError(f"max_slices must be at least 1, got {max_slices}")
+        n = self.n
+        local = self.local
+        relay = self.relay
         budget = self.slice_budget
+        vlb = self.enable_vlb
+        relay_cap = self.relay_cap_bytes
         slice_ms = self.timing.slice_ps / 1e9
         series: list[tuple[float, float]] = []
         # Bytes of each (src, dst) pair riding relay queues somewhere. The
         # relay matrix forgets origins, so deliveries are attributed back
         # proportionally — exact for completion purposes because a pair is
         # done only when its outstanding total hits zero.
-        vlb_out = np.zeros_like(self.local)
-        pending_pairs = {
-            (a, b)
-            for a in range(self.n)
-            for b in range(self.n)
-            if self.local[a][b] > 0
-        }
+        vlb_out = np.zeros_like(local)
+        # Keys follow a set's iteration order; that order is part of the
+        # result, so the dict is built from the same set as always.
         completion: dict[tuple[int, int], float | None] = {
-            p: None for p in pending_pairs
+            p: None
+            for p in {
+                (a, b) for a in range(n) for b in range(n) if local[a][b] > 0
+            }
         }
+        pending = local > 0
+        n_pending = len(completion)
         aggregate_bytes_per_slice = (
-            self.n
+            n
             * self.hosts_per_rack
             * self.link_rate_bps
             / 8
@@ -187,70 +269,84 @@ class RotorFluidSimulation:
             / 8
             * (self.timing.slice_ps / PS_PER_S)
         )
+        table = self._circuit_table()
+        cycle = len(table)
         delivered_total = 0.0
         s = 0
         for s in range(max_slices):
             delivered = 0.0
-            relay_delivered_to = np.zeros(self.n)
-            nic_out = np.full(self.n, nic_bytes)
-            nic_in = np.full(self.n, nic_bytes)
-            for a, b in self._circuits(s):
-                cap = budget
-                take = min(cap, self.relay[a][b], nic_in[b])
-                if take > 0:
-                    self.relay[a][b] -= take
-                    relay_delivered_to[b] += take
-                    nic_in[b] -= take
-                    cap -= take
+            relay_delivered_to = np.zeros(n)
+            nic_out = np.full(n, nic_bytes)
+            nic_in = np.full(n, nic_bytes)
+            if vlb:
+                # Backlog only drains within a slice: a rack with none now
+                # has nothing to ship by VLB all slice.
+                busy = (local > 0).any(axis=1)
+                relay_before = np.zeros(n)
+            for src, dst in table[s % cycle]:
+                # Each circuit carries relay bytes for its far end, then
+                # local bytes, up to the slice budget. One switch's circuits
+                # touch disjoint senders and receivers, so these direct
+                # sends run as array operations over the switch.
+                first = relay[src, dst]
+                room = nic_in[dst]
+                relayed = np.minimum(np.minimum(budget, first), room)
+                room -= relayed
+                cap = budget - relayed
+                backlog = local[src, dst]
+                out = nic_out[src]
+                direct = np.minimum(np.minimum(cap, backlog), np.minimum(out, room))
+                cap -= direct
+                relay[src, dst] = first - relayed
+                local[src, dst] = backlog - direct
+                nic_in[dst] = room - direct
+                nic_out[src] = out - direct
+                relay_delivered_to[dst] += relayed
+                # Add up in circuit order, as one circuit at a time would.
+                moved = np.array((relayed, direct)).T.ravel()
+                for take in moved[moved > 0].tolist():
                     delivered += take
-                take = min(cap, self.local[a][b], nic_out[a], nic_in[b])
-                if take > 0:
-                    self.local[a][b] -= take
-                    nic_out[a] -= take
-                    nic_in[b] -= take
-                    cap -= take
-                    delivered += take
-                if cap <= 1.0 or not self.enable_vlb:
+                if not vlb:
                     continue
-                # VLB: ship the most backlogged other-destination bytes to b.
-                row = self.local[a]
-                headroom = self.relay_cap_bytes - self.relay[b].sum()
-                while cap > 1.0 and headroom > 1.0 and nic_out[a] > 1.0:
-                    masked = row.copy()
-                    masked[b] = 0.0
-                    x = int(np.argmax(masked))
-                    if masked[x] <= 0:
-                        break
-                    move = min(cap, row[x], headroom, nic_out[a])
-                    row[x] -= move
-                    self.relay[b][x] += move
-                    vlb_out[a][x] += move
-                    nic_out[a] -= move
-                    cap -= move
-                    headroom -= move
+                # VLB on the circuits with budget left. A move a -> b -> x
+                # never has x == a, so no direct send above read what it
+                # writes. Circuit order matters only for b's relay sum: a
+                # circuit a -> b ahead of b -> a (a < b) must see the relay
+                # bytes b -> a as they were before b -> a sent them.
+                relay_before[src] = first
+                spare = np.flatnonzero((cap > 1.0) & busy[src])
+                for a, b, left in zip(
+                    src[spare].tolist(), dst[spare].tolist(), cap[spare].tolist()
+                ):
+                    if a < b:
+                        sent = relay[b, a]
+                        relay[b, a] = relay_before[b]
+                        held = relay[b].sum()
+                        relay[b, a] = sent
+                    else:
+                        held = relay[b].sum()
+                    self._ship_vlb(a, b, left, relay_cap - held, nic_out, vlb_out)
             # Attribute relay deliveries back to origin pairs (pro rata).
-            for b in range(self.n):
-                if relay_delivered_to[b] <= 0:
-                    continue
+            for b in np.flatnonzero(relay_delivered_to > 0).tolist():
                 column = vlb_out[:, b]
                 total = column.sum()
                 if total > 0:
                     column *= max(0.0, 1.0 - relay_delivered_to[b] / total)
             delivered_total += delivered
             series.append(((s + 1) * slice_ms, delivered / aggregate_bytes_per_slice))
-            if pending_pairs:
-                finished = [
-                    (a, b)
-                    for (a, b) in pending_pairs
-                    if self.local[a][b] <= 1e-6 and vlb_out[a][b] <= 1e-6
-                ]
-                for p in finished:
-                    completion[p] = (s + 1) * slice_ms
-                    pending_pairs.remove(p)
+            if n_pending:
+                done = pending & (local <= 1e-6) & (vlb_out <= 1e-6)
+                if done.any():
+                    rows, cols = np.nonzero(done)
+                    finish_ms = (s + 1) * slice_ms
+                    for p in zip(rows.tolist(), cols.tolist()):
+                        completion[p] = finish_ms
+                    pending &= ~done
+                    n_pending -= len(rows)
             if (
-                not pending_pairs
-                and self.local.sum() <= 1e-6
-                and self.relay.sum() <= 1e-6
+                not n_pending
+                and local.sum() <= 1e-6
+                and relay.sum() <= 1e-6
             ):
                 break
         return FluidResult(
