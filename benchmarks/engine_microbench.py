@@ -31,9 +31,12 @@ Metrics per engine configuration:
   rewrites (this is the number the CI perf-smoke gate and the >=3x
   acceptance threshold use).
 
-``--profile N`` runs the heap pass under ``cProfile`` and prints the
-top-N cumulative functions, so per-event interpreter-cost claims stay
-attributable to specific code.
+``--profile N`` runs the heap pass under ``cProfile`` once per kernel in
+``--kernels`` (default: ``c``, the shipping kernel) and prints the top-N
+cumulative functions, so per-event interpreter-cost claims stay
+attributable to specific code. Each profile first splits the event
+loop's time into its own self time (under ``c``: the compiled loop and
+every C fast path it runs) and the Python callbacks it calls.
 
 Two further phases feed the artifact:
 
@@ -304,25 +307,56 @@ def run_microbench(
     return doc
 
 
-def run_profile(top_n: int) -> None:
+def _run_loop_split(stats, kernel: str) -> tuple[float, float]:
+    """``(self_s, cumulative_s)`` of the simulator's ``run`` under cProfile.
+
+    The compiled loop is a C function: cProfile books everything it does
+    in C (dispatch, enqueue, the NDP fast paths) as its self time and
+    every Python function it calls under that function's own entry.
+    """
+    for (filename, _line, name), (_cc, _nc, tottime, cumtime, _callers) in (
+        stats.stats.items()
+    ):
+        if kernel == "c" and filename == "~" and name == "<run>":
+            return tottime, cumtime
+        if kernel == "py" and name == "run" and filename.endswith("sim.py"):
+            return tottime, cumtime
+    return 0.0, 0.0
+
+
+def run_profile(top_n: int, kernels: tuple[str, ...] = ("c",)) -> None:
     """The fig07 workload under cProfile; prints the top-N cumulative rows.
 
     Makes per-event interpreter-cost claims attributable: the ranking
     shows where a hop's wall time actually goes (dispatch loop, port
-    enqueue, endpoint callbacks, scheduler C calls, ...).
+    enqueue, endpoint callbacks, scheduler C calls, ...), per kernel.
     """
     import cProfile
     import pstats
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for kind in WORKLOAD["networks"]:
-        run_network(kind, "heap")
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    print(f"--- cProfile, fig07 workload, top {top_n} by cumulative time ---")
-    stats.print_stats(top_n)
+    for kernel in kernels:
+        if kernel == "c" and not compiled_available():
+            print("note: compiled kernel (_ckernel) not built; skipping the c profile")
+            continue
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for kind in WORKLOAD["networks"]:
+            run_network(kind, "heap", kernel=kernel)
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        loop_self, loop_cum = _run_loop_split(stats, kernel)
+        print(
+            f"--- cProfile, fig07 workload, REPRO_KERNEL={kernel}, "
+            f"top {top_n} by cumulative time ---"
+        )
+        print(
+            f"event loop: {loop_cum:.3f}s = {loop_self:.3f}s self "
+            f"({'the C loop and its C fast paths' if kernel == 'c' else 'the Python loop'})"
+            f" + {loop_cum - loop_self:.3f}s in Python callbacks "
+            f"(of {stats.total_tt:.3f}s profiled)"
+        )
+        stats.sort_stats("cumulative")
+        stats.print_stats(top_n)
 
 
 # ---------------------------------------------------------- depth microbench
@@ -948,13 +982,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="take the best of N runs per engine")
     parser.add_argument("--schedulers", default="heap,wheel",
                         help="comma-separated scheduler list")
-    parser.add_argument("--kernels", default="py,c",
-                        help="comma-separated kernel list (py, c); c is "
-                        "skipped with a note when the compiled module is "
-                        "not built")
+    parser.add_argument("--kernels", default=None,
+                        help="comma-separated kernel list (py, c; default "
+                        "py,c, or c alone for --profile); c is skipped "
+                        "with a note when the compiled module is not "
+                        "built")
     parser.add_argument("--profile", type=int, default=0, metavar="N",
-                        help="run the fig07 workload under cProfile and "
-                        "print the top-N cumulative functions")
+                        help="run the fig07 workload under cProfile per "
+                        "kernel and print the event loop's self/callback "
+                        "split and the top-N cumulative functions")
     parser.add_argument("--no-legacy", action="store_true",
                         help="skip the uncoalesced heap-legacy record")
     parser.add_argument("--depths", action="store_true",
@@ -988,7 +1024,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--sharded expects SCALE:W1[,W2...], got {spec!r}")
         sharded_specs.append((scale, workers_list))
     if args.profile:
-        run_profile(args.profile)
+        run_profile(
+            args.profile, tuple(k for k in (args.kernels or "c").split(",") if k)
+        )
         if (
             args.output is None
             and args.check is None
@@ -997,7 +1035,7 @@ def main(argv: list[str] | None = None) -> int:
         ):
             # Profiling only: skip the timed phases, nothing else asked.
             return 0
-    kernels = tuple(k for k in args.kernels.split(",") if k)
+    kernels = tuple(k for k in (args.kernels or "py,c").split(",") if k)
     doc = run_microbench(
         schedulers,
         repeat=args.repeat,

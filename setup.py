@@ -6,7 +6,9 @@ enqueue/serialize/dispatch hot trio (see ``src/repro/net/kernel``). The
 extension is declared *optional*: when no C compiler is available (or
 ``REPRO_NO_CKERNEL`` is set) the build degrades to the pure-Python engine
 instead of failing, and the runtime seam (``REPRO_KERNEL``) falls back
-with a warning rather than an error.
+with a warning rather than an error. The build embeds the sha256 of
+``_ckernel.c`` as ``_ckernel.SOURCE_SHA256``, so the test suite can tell
+a stale compiled module from one built from the committed source.
 
 The kernel is a hand-written CPython extension rather than a mypyc
 build: mypyc (and Cython) are not part of the pinned offline toolchain,
@@ -15,16 +17,23 @@ heap entries directly, which a hand-written extension can do with zero
 per-event allocation.
 """
 
+import hashlib
 import os
 
 from setuptools import Extension, setup
 
+KERNEL_SOURCE = "src/repro/net/kernel/_ckernel.c"
+
 ext_modules = []
 if not os.environ.get("REPRO_NO_CKERNEL"):
+    root = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(root, KERNEL_SOURCE), "rb") as fh:
+        source_sha256 = hashlib.sha256(fh.read()).hexdigest()
     ext_modules.append(
         Extension(
             "repro.net.kernel._ckernel",
-            sources=["src/repro/net/kernel/_ckernel.c"],
+            sources=[KERNEL_SOURCE],
+            define_macros=[("CKERNEL_SOURCE_SHA256", f'"{source_sha256}"')],
             optional=True,  # build failure -> pure-Python engine, not error
         )
     )

@@ -26,9 +26,9 @@ from ..topologies.expander import ExpanderTopology
 from ..topologies.folded_clos import FoldedClos
 from ..topologies.rotornet import RotorNetTopology
 from .kernel import engine_classes
-from .link import Port
+from .link import CircuitTable, Port
 from .ndp import PullPacer, start_ndp_flow
-from .node import CONSUMED, Host, SwitchNode
+from .node import CONSUMED, ForwardingTable, Host, SwitchNode, table_route
 from .packet import Packet, PacketKind, Priority, release
 from .rotorlb import BulkFlow, BulkSink, RotorLBAgent
 from .sim import Simulator
@@ -178,13 +178,14 @@ class OperaSimNetwork(SimNetwork):
         self.slice_ps = timing.slice_ps
         self._cycle_slices = sched.cycle_slices
         #: Failure seam. ``_fault_cell`` is a one-slot box the install-once
-        #: route closures capture: ``[None]`` fault-free, rebound to the
-        #: live :class:`~repro.net.failures.FaultContext` by
+        #: route closures and the forwarding tables capture: ``[None]``
+        #: fault-free, rebound to the live
+        #: :class:`~repro.net.failures.FaultContext` by
         #: :meth:`install_failures` (state mutates; closures never do).
         self._fault_cell: list = [None]
-        #: Every router's memoized next-hop table, so detection epochs can
-        #: invalidate stale routes in one pass.
-        self._hop_caches: list[dict] = []
+        #: Every router's lazily filled forwarding table and reachability
+        #: memo, so detection epochs can invalidate stale routes in one pass.
+        self._hop_caches: list = []
         self.faults = None  # FailureInjector | None
         self._make_hosts(network.n_hosts, network.hosts_per_rack)
 
@@ -211,7 +212,7 @@ class OperaSimNetwork(SimNetwork):
                 uplinks[w] = self.kernel.Port(
                     self.sim,
                     f"tor{rack}-up{w}",
-                    resolver=self._uplink_resolver(rack, w),
+                    resolver=self._circuit_table(rack, w).resolve,
                     rate_bps=rate_bps,
                     propagation_ps=prop_ps,
                     on_undeliverable=self._make_dark_handler(rack),
@@ -234,7 +235,7 @@ class OperaSimNetwork(SimNetwork):
                 ],
             )
             self.agents.append(agent)
-            tor.router = self._make_router(rack, agent)
+            self._install_router(tor, rack, agent)
         for agent in self.agents:
             agent.peers = {r: self.agents[r] for r in range(network.n_racks)}
         self._schedule_slices()
@@ -245,58 +246,44 @@ class OperaSimNetwork(SimNetwork):
         now = self.sim.now if now_ps is None else now_ps
         return (now // self.slice_ps) % self._cycle_slices
 
-    def _in_reconfiguration_window(self, now_ps: int) -> bool:
-        offset = now_ps % self.slice_ps
-        return offset >= self.network.timing.epsilon_ps
-
-    def _uplink_resolver(self, rack: int, switch: int, ctx=None):
-        # Per-slice peer/down lookups are pure functions of the schedule;
-        # precompute them once per port so the per-packet resolver is two
-        # integer ops and a table index.
+    def _circuit_table(self, rack: int, switch: int) -> CircuitTable:
+        # Per-slice peers and dark windows are pure functions of the
+        # schedule: the circuit is dark from epsilon into a slice in which
+        # its switch reconfigures, and lit all slice otherwise.
         sched = self.network.schedule
-        cycle = sched.cycle_slices
-        tors = self.tors
-        peer_tor: list[SwitchNode | None] = []
-        peer_rack: list[int] = []
-        down: list[bool] = []
-        for s in range(cycle):
-            peer = sched.matching_of(switch, s)[rack]
-            peer_tor.append(None if peer == rack else tors[peer])
-            peer_rack.append(peer)
-            down.append(sched.is_down(switch, s))
         slice_ps = self.slice_ps
         epsilon_ps = self.network.timing.epsilon_ps
+        peer = []
+        dark_from = []
+        for s in range(sched.cycle_slices):
+            p = sched.matching_of(switch, s)[rack]
+            peer.append(None if p == rack else self.tors[p])
+            dark_from.append(epsilon_ps if sched.is_down(switch, s) else slice_ps)
+        return CircuitTable(slice_ps, tuple(peer), tuple(dark_from))
 
-        if ctx is None:
-
-            def resolve(_packet: Packet, now_ps: int):
-                s = (now_ps // slice_ps) % cycle
-                if down[s] and now_ps % slice_ps >= epsilon_ps:
-                    return None  # circuit dark while mirrors retarget
-                return peer_tor[s]  # None on identity assignment: port idles
-
-            return resolve
-
+    def _faulty_resolver(self, rack: int, switch: int, ctx):
         # Failure-armed variant (swapped in by install_failures; ports read
         # ``resolver`` per packet in both kernels, so the swap is live).
         # The *actual* failure sets are captured as locals — the injector
         # mutates them in place — and a packet launched into a physically
         # dead circuit lands in this rack's blackhole: light simply stops
         # arriving, with none of the queue-drop recovery paths firing.
+        sched = self.network.schedule
+        cycle = sched.cycle_slices
+        peer_rack = [sched.matching_of(switch, s)[rack] for s in range(cycle)]
+        resolve = self._circuit_table(rack, switch).resolve
+        slice_ps = self.slice_ps
         links_down = ctx.links_down
         racks_down = ctx.racks_down
         switches_down = ctx.switches_down
         blackhole = ctx.blackholes[rack]
 
-        def resolve_faulty(_packet: Packet, now_ps: int):
-            s = (now_ps // slice_ps) % cycle
-            if down[s] and now_ps % slice_ps >= epsilon_ps:
-                return None
-            peer = peer_tor[s]
+        def resolve_faulty(packet: Packet, now_ps: int):
+            peer = resolve(packet, now_ps)
             if peer is None:
                 return None
             if ctx.any_down:
-                pr = peer_rack[s]
+                pr = peer_rack[(now_ps // slice_ps) % cycle]
                 if (
                     switch in switches_down
                     or rack in racks_down
@@ -326,110 +313,82 @@ class OperaSimNetwork(SimNetwork):
 
         return handle
 
-    def _make_router(self, rack: int, agent: RotorLBAgent):
+    def _install_router(self, tor: SwitchNode, rack: int, agent: RotorLBAgent) -> None:
         routing = self.pipeline.routing
+        uplinks = self.uplink_ports[rack]
         hosts_per_rack = self.network.hosts_per_rack
-        host_ports = self.host_ports
         slice_ps = self.slice_ps
-        cycle = self._cycle_slices
         sim = self.sim
-        _BULK = Priority.BULK
-        _DATA = PacketKind.DATA
         # Failure seam: routers are install-once (ports cache the fused
         # dispatch closure), so dynamic failure state is read through this
-        # one-slot box — [None] until install_failures arms it. Both
-        # kernels invoke this same Python closure per packet.
+        # one-slot box — [None] until install_failures arms it. While it
+        # is armed, both kernels run this Python closure for every packet.
         fault_cell = self._fault_cell
-        # Equal-cost option lists are pure functions of (stamp, dst_rack);
-        # memoize them per router so the per-packet cost is one dict hit.
-        # Registered with the network: detection epochs clear it so the
-        # next miss repopulates from the epoch's detected-failure routing.
-        hop_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._hop_caches.append(hop_cache)
+
+        def next_hops(stamp: int, dst_rack: int) -> tuple[Port, ...]:
+            ctx = fault_cell[0]
+            tables = routing if ctx is None else ctx.routing
+            options = tables.routes(stamp).next_hops(rack, dst_rack)
+            return tuple(uplinks[switch] for _peer, switch in options)
+
+        # Rows fill lazily per (stamp, dst_rack); registered with the
+        # network so detection epochs clear them and the next miss
+        # repopulates from the epoch's detected-failure routing.
+        tor.table = ForwardingTable(
+            [None] * self._cycle_slices,
+            hosts_per_rack,
+            rack=rack,
+            host_ports=self.host_ports,
+            relay=agent.accept_relay,
+            slice_ps=slice_ps,
+            next_hops=next_hops,
+            n_racks=self.network.n_racks,
+            fault_cell=fault_cell,
+        )
+        self._hop_caches.append(tor.table)
         # dst_rack -> any-slice reachability under the epoch's detected
-        # routing; cleared together with hop_cache at detection epochs.
+        # routing; cleared together with the table at detection epochs.
         reach_cache: dict[int, bool] = {}
         self._hop_caches.append(reach_cache)
 
-        def next_hop(dst_rack: int, stamp: int, salt: int):
-            key = (stamp, dst_rack)
-            options = hop_cache.get(key)
-            if options is None:
-                ctx = fault_cell[0]
-                tables = routing if ctx is None else ctx.routing
-                options = tables.routes(stamp).next_hops(rack, dst_rack)
-                hop_cache[key] = options
-            if not options:
-                return None
-            return options[salt % len(options)]
-
-        def route(_switch: SwitchNode, packet: Packet):
+        def route(switch: SwitchNode, packet: Packet):
             ctx = fault_cell[0]
-            if ctx is not None and rack in ctx.racks_down:
+            if ctx is None:
+                return table_route(switch, packet)
+            if rack in ctx.racks_down:
                 # This ToR is physically dead: everything it would have
                 # switched — host-bound deliveries included — is lost.
                 ctx.blackholes[rack].receive(packet)
                 return CONSUMED
-            dst_rack = packet.dst_host // hosts_per_rack
-            if packet.priority is _BULK and packet.kind is _DATA:
-                if dst_rack == rack:
-                    return host_ports[packet.dst_host]
-                # Bulk landing on a foreign rack: absorb as relay traffic
-                # (a missed slice or an intentional VLB first hop).
-                packet.hops += 1
-                agent.accept_relay(packet)
-                return CONSUMED
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            stamp = packet.slice_stamp
-            if stamp is None:
-                stamp = packet.slice_stamp = (sim.now // slice_ps) % cycle
-            hop = next_hop(dst_rack, stamp, packet.salt + packet.hops)
-            if hop is None:
-                # Stale stamp (e.g. rerouted packet): retry on current slice.
-                stamp = packet.slice_stamp = (sim.now // slice_ps) % cycle
-                hop = next_hop(dst_rack, stamp, packet.salt + packet.hops)
-                if hop is None:
-                    if ctx is not None and (
-                        ctx.any_down or ctx.detected is not None
-                    ):
-                        if ctx.detected is not None:
-                            reachable = reach_cache.get(dst_rack)
-                            if reachable is None:
-                                reachable = reach_cache[dst_rack] = (
-                                    ctx.routing.any_slice_reachable(
-                                        rack, dst_rack
-                                    )
-                                )
-                            if reachable:
-                                # The *updated* tables know this slice has
-                                # no surviving path but a later one does:
-                                # hold the packet at the ToR until the next
-                                # slice boundary and re-route it there
-                                # (hops unchanged — it waited in place).
-                                # Bounded: within one cycle some slice
-                                # offers a path.
-                                ctx.slice_parks += 1
-                                packet.slice_stamp = None
-                                sim.at(
-                                    (sim.now // slice_ps + 1) * slice_ps,
-                                    _switch.receive,
-                                    packet,
-                                )
-                                return CONSUMED
-                        # Routeless because of failures with no surviving
-                        # path in any slice (or not yet detected): the
-                        # packet is failure-lost. Feed the blackhole so
-                        # the recovery clock retries — its phase-shifted
-                        # timeout lands the retransmission in a different
-                        # slice, which may well have a path.
-                        ctx.blackholes[rack].receive(packet)
-                        return CONSUMED
-                    return None
-            packet.hops += 1
-            return self.uplink_ports[rack][hop[1]]
+            port = table_route(switch, packet)
+            if port is not None or not (ctx.any_down or ctx.detected is not None):
+                return port
+            if ctx.detected is not None:
+                dst_rack = packet.dst_host // hosts_per_rack
+                reachable = reach_cache.get(dst_rack)
+                if reachable is None:
+                    reachable = reach_cache[dst_rack] = (
+                        ctx.routing.any_slice_reachable(rack, dst_rack)
+                    )
+                if reachable:
+                    # The *updated* tables know this slice has no
+                    # surviving path but a later one does: hold the packet
+                    # at the ToR until the next slice boundary and re-route
+                    # it there (hops unchanged — it waited in place).
+                    # Bounded: within one cycle some slice offers a path.
+                    ctx.slice_parks += 1
+                    packet.slice_stamp = None
+                    sim.at((sim.now // slice_ps + 1) * slice_ps, switch.receive, packet)
+                    return CONSUMED
+            # Routeless because of failures with no surviving path in any
+            # slice (or not yet detected): the packet is failure-lost. Feed
+            # the blackhole so the recovery clock retries — its
+            # phase-shifted timeout lands the retransmission in a
+            # different slice, which may well have a path.
+            ctx.blackholes[rack].receive(packet)
+            return CONSUMED
 
-        return route
+        tor.router = route
 
     # -------------------------------------------------------------- RotorLB
 
@@ -465,8 +424,11 @@ class OperaSimNetwork(SimNetwork):
 
         Must run before the first ``run()`` (routers are install-once and
         the injector replays hello-protocol detection delays from t=0).
-        Swaps every uplink resolver for its failure-aware variant and arms
-        the route closures through ``_fault_cell``; with an empty schedule
+        Swaps every uplink resolver (a :class:`CircuitTable` the compiled
+        kernel reads directly) for its failure-aware Python variant and
+        arms the route closures through ``_fault_cell``, which also
+        stops the compiled kernel serving hops from the forwarding
+        tables; with an empty schedule
         the armed network is bitwise identical to an unarmed one (priced
         as ``faults_overhead`` in the engine microbench).
 
@@ -510,7 +472,7 @@ class OperaSimNetwork(SimNetwork):
         )
         for rack, uplinks in enumerate(self.uplink_ports):
             for switch, port in uplinks.items():
-                port.resolver = self._uplink_resolver(rack, switch, ctx)
+                port.resolver = self._faulty_resolver(rack, switch, ctx)
         self._fault_cell[0] = ctx
         self.faults = injector
         return injector
@@ -572,32 +534,25 @@ class ExpanderSimNetwork(SimNetwork):
                     propagation_ps=prop_ps,
                 )
             self.uplink_ports.append(ports)
-            tor.router = self._make_router(rack)
+            tor.table = ForwardingTable(
+                [None],
+                topology.hosts_per_rack,
+                rack=rack,
+                host_ports=self.host_ports,
+                next_hops=self._next_hops(rack, ports),
+                n_racks=topology.n_racks,
+            )
+            tor.router = table_route
 
-    def _make_router(self, rack: int):
+    def _next_hops(self, rack: int, ports: dict[int, Port]):
+        # The static expander's equal-cost option lists never change; the
+        # table memoizes them per destination rack on first use.
         routes = self.topology.routes
-        hosts_per_rack = self.topology.hosts_per_rack
-        host_ports = self.host_ports
-        uplinks = self.uplink_ports[rack]
-        # Memoize the equal-cost option list per destination rack (the
-        # static expander's tables never change).
-        hop_cache: dict[int, list[tuple[int, int]]] = {}
 
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            options = hop_cache.get(dst_rack)
-            if options is None:
-                options = routes.next_hops(rack, dst_rack)
-                hop_cache[dst_rack] = options
-            if not options:
-                return None
-            hop = options[(packet.salt + packet.hops) % len(options)]
-            packet.hops += 1
-            return uplinks[hop[1]]
+        def next_hops(_stamp: int, dst_rack: int) -> tuple[Port, ...]:
+            return tuple(ports[m] for _peer, m in routes.next_hops(rack, dst_rack))
 
-        return route
+        return next_hops
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +610,7 @@ class ClosSimNetwork(SimNetwork):
                     for agg in clos.tor_agg_links(rack)
                 }
             )
-            tor.router = self._tor_router(rack)
-        for agg_id, agg in enumerate(self.aggs):
+        for agg_id in range(clos.n_aggs):
             pod = agg_id // clos.aggs_per_pod
             self.agg_down.append(
                 {
@@ -672,68 +626,44 @@ class ClosSimNetwork(SimNetwork):
                     for core in clos.agg_core_links(agg_id)
                 }
             )
-            agg.router = self._agg_router(agg_id)
-        for core_id, core in enumerate(self.cores):
+        for core_id in range(clos.n_cores):
             self.core_down.append(
                 {
                     agg: port_to(f"core{core_id}->agg{agg}", self.aggs[agg])
                     for agg in clos.core_agg_links(core_id)
                 }
             )
-            core.router = self._core_router(core_id)
+        self._install_tables()
 
-    def _tor_router(self, rack: int):
+    def _install_tables(self) -> None:
+        # Per-packet ECMP: a ToR sprays over its aggs and an agg over its
+        # cores toward foreign pods (one hop each); an agg goes straight
+        # down within its pod, and a core down to the destination pod's
+        # agg in its own group.
         clos = self.clos
-        hosts_per_rack = clos.hosts_per_rack
-        host_ports = self.host_ports
-        tor_up = self.tor_up[rack]
-        up_ports = [tor_up[agg] for agg in clos.tor_agg_links(rack)]
-        n_up = len(up_ports)
+        tpp = clos.tors_per_pod
+        racks = range(clos.n_racks)
 
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            port = up_ports[(packet.salt + packet.hops) % n_up]
-            packet.hops += 1
-            return port
+        def install(switch: SwitchNode, row: list, **kwargs) -> None:
+            switch.table = ForwardingTable([row], clos.hosts_per_rack, **kwargs)
+            switch.router = table_route
 
-        return route
-
-    def _agg_router(self, agg_id: int):
-        clos = self.clos
-        pod = agg_id // clos.aggs_per_pod
-        hosts_per_rack = clos.hosts_per_rack
-        tors_per_pod = clos.tors_per_pod
-        agg_down = self.agg_down[agg_id]
-        agg_up = self.agg_up[agg_id]
-        up_ports = [agg_up[core] for core in clos.agg_core_links(agg_id)]
-        n_up = len(up_ports)
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if dst_rack // tors_per_pod == pod:
-                return agg_down[dst_rack]
-            port = up_ports[(packet.salt + packet.hops) % n_up]
-            packet.hops += 1
-            return port
-
-        return route
-
-    def _core_router(self, core_id: int):
-        clos = self.clos
-        hosts_per_rack = clos.hosts_per_rack
-        tors_per_pod = clos.tors_per_pod
-        aggs_per_pod = clos.aggs_per_pod
-        group = core_id // clos.cores_per_group
-        core_down = self.core_down[core_id]
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_pod = packet.dst_host // hosts_per_rack // tors_per_pod
-            packet.hops += 1
-            return core_down[dst_pod * aggs_per_pod + group]
-
-        return route
+        for rack, tor in enumerate(self.tors):
+            up = (tuple(self.tor_up[rack][agg] for agg in clos.tor_agg_links(rack)), 1)
+            row = [None if r == rack else up for r in racks]
+            install(tor, row, rack=rack, host_ports=self.host_ports)
+        for agg_id, agg in enumerate(self.aggs):
+            pod = agg_id // clos.aggs_per_pod
+            down = self.agg_down[agg_id]
+            up = (tuple(self.agg_up[agg_id][c] for c in clos.agg_core_links(agg_id)), 1)
+            install(agg, [((down[r],), 0) if r // tpp == pod else up for r in racks])
+        for core_id, core in enumerate(self.cores):
+            group = core_id // clos.cores_per_group
+            down = self.core_down[core_id]
+            install(
+                core,
+                [((down[(r // tpp) * clos.aggs_per_pod + group],), 1) for r in racks],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +704,6 @@ class RotorNetSimNetwork(SimNetwork):
 
         if topology.hybrid:
             self.fabric = self.kernel.SwitchNode(self.sim, "pkt-fabric")
-            self.fabric.router = self._fabric_router()
 
         for rack, tor in enumerate(self.tors):
             for host_id in range(
@@ -789,7 +718,7 @@ class RotorNetSimNetwork(SimNetwork):
                 ports[w] = self.kernel.Port(
                     self.sim,
                     f"tor{rack}-rotor{w}",
-                    resolver=self._rotor_resolver(rack, w),
+                    resolver=self._circuit_table(rack, w).resolve,
                     rate_bps=rate_bps,
                     propagation_ps=prop_ps,
                     on_undeliverable=self._make_requeue(rack),
@@ -836,7 +765,7 @@ class RotorNetSimNetwork(SimNetwork):
                 ],
             )
             self.agents.append(agent)
-            tor.router = self._make_router(rack, agent)
+        self._install_tables()
         for agent in self.agents:
             agent.peers = {r: self.agents[r] for r in range(topology.n_racks)}
         self._schedule_slices()
@@ -845,25 +774,16 @@ class RotorNetSimNetwork(SimNetwork):
         now = self.sim.now if now_ps is None else now_ps
         return (now // self.slice_ps) % self.topology.schedule.cycle_slices
 
-    def _rotor_resolver(self, rack: int, switch: int):
+    def _circuit_table(self, rack: int, switch: int) -> CircuitTable:
+        # All rotors reconfigure in unison at each boundary: the fabric is
+        # dark for the final r of every slice.
         sched = self.topology.schedule
-        cycle = sched.cycle_slices
-        tors = self.tors
-        peer_tor: list[SwitchNode | None] = []
-        for s in range(cycle):
-            peer = sched.matching_of(switch, s)[rack]
-            peer_tor.append(None if peer == rack else tors[peer])
-        slice_ps = self.slice_ps
-        usable_ps = slice_ps - self.reconfiguration_ps
-
-        def resolve(_packet: Packet, now_ps: int):
-            # All rotors reconfigure in unison at each boundary: the fabric
-            # is dark for the final r of every slice.
-            if now_ps % slice_ps >= usable_ps:
-                return None
-            return peer_tor[(now_ps // slice_ps) % cycle]
-
-        return resolve
+        peer = []
+        for s in range(sched.cycle_slices):
+            p = sched.matching_of(switch, s)[rack]
+            peer.append(None if p == rack else self.tors[p])
+        usable_ps = self.slice_ps - self.reconfiguration_ps
+        return CircuitTable(self.slice_ps, tuple(peer), (usable_ps,) * len(peer))
 
     def _make_requeue(self, rack: int):
         def handle(packet: Packet) -> None:
@@ -874,43 +794,31 @@ class RotorNetSimNetwork(SimNetwork):
 
         return handle
 
-    def _fabric_router(self):
+    def _install_tables(self) -> None:
+        # A ToR sends a foreign rack's bulk DATA to its RotorLB agent as
+        # relay traffic. Other traffic for a foreign rack takes the packet
+        # fabric when the network is hybrid; non-hybrid RotorNet has no
+        # low-latency service, so it has no entry and is dropped: control
+        # and "low-latency" data alike must wait in RotorLB queues, which
+        # is exactly the paper's point (Figure 7c), and are treated as
+        # bulk at the flow level.
         topology = self.topology
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = topology.host_rack(packet.dst_host)
-            return self.fabric_down[dst_rack]
-
-        return route
-
-    def _make_router(self, rack: int, agent: RotorLBAgent):
-        hosts_per_rack = self.topology.hosts_per_rack
-        host_ports = self.host_ports
-        hybrid = self.topology.hybrid
-        fabric_up = self.fabric_up[rack] if hybrid else None
-        _BULK = Priority.BULK
-        _DATA = PacketKind.DATA
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if packet.priority is _BULK and packet.kind is _DATA:
-                if dst_rack == rack:
-                    return host_ports[packet.dst_host]
-                packet.hops += 1
-                agent.accept_relay(packet)
-                return CONSUMED
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            if hybrid:
-                packet.hops += 1
-                return fabric_up
-            # Non-hybrid RotorNet has no low-latency service: control and
-            # "low-latency" data alike must wait in RotorLB queues, which is
-            # exactly the paper's point (Figure 7c). They are treated as
-            # bulk at the flow level; anything else is dropped here.
-            return None
-
-        return route
+        racks = range(topology.n_racks)
+        for rack, tor in enumerate(self.tors):
+            up = (self.fabric_up[rack],) if topology.hybrid else None
+            tor.table = ForwardingTable(
+                [[None if up is None or r == rack else (up, 1) for r in racks]],
+                topology.hosts_per_rack,
+                rack=rack,
+                host_ports=self.host_ports,
+                relay=self.agents[rack].accept_relay,
+            )
+            tor.router = table_route
+        if self.fabric is not None:
+            self.fabric.table = ForwardingTable(
+                [[((port,), 0) for port in self.fabric_down]], topology.hosts_per_rack
+            )
+            self.fabric.router = table_route
 
     def _schedule_slices(self) -> None:
         # Lockstep rotors: one reconfiguration event per slice rotates

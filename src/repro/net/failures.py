@@ -11,11 +11,12 @@ events, through four mechanisms:
 at a queue — light simply stops arriving. Uplink resolvers consult the
 *actual* (physical) failure state at wire-entry time and resolve dead
 circuits to a per-rack :class:`~repro.net.node.Blackhole`; a dead ToR's
-route closure absorbs its hosts' traffic the same way. Both engine
-kernels call the same Python resolver/route closures per packet
-(``REPRO_KERNEL=c`` reads ``Port.resolver`` per call and invokes the
-route closure from its fused dispatch), so failure state needs no
-kernel-specific plumbing and py/c stay bit-identical.
+route closure absorbs its hosts' traffic the same way. Once a schedule
+is installed, both engine kernels call the same Python resolver/route
+closures per packet (``REPRO_KERNEL=c`` reads ``Port.resolver`` per call
+and, while the network's fault cell is armed, leaves every switch hop to
+the route closure instead of the forwarding table), so failure state
+needs no kernel-specific plumbing and py/c stay bit-identical.
 
 **Detect (hello propagation).** Routing reacts on a *detected* view that
 lags the physical truth by the hello-protocol propagation delay, derived
@@ -25,7 +26,7 @@ keep feeding the blackhole — exactly the paper's vulnerability window.
 
 **Reroute.** At a detection epoch the injector swaps in an
 :class:`~repro.core.routing.OperaRouting` built with the detected set,
-clears every router's memoized next-hop options, and hands
+clears every router's lazily filled forwarding table, and hands
 ``RotorLBAgent.failure_view`` the detected set so bulk stops offloading
 onto known-dead circuits.
 

@@ -37,23 +37,37 @@ heap entries with zero per-event allocation); the extension is declared
 optional, so a missing compiler degrades to the pure-Python kernel
 instead of failing the install.
 
+**Forwarding is data.** Every switch carries a
+:class:`~repro.net.node.ForwardingTable` in its ``table`` slot (per-slice
+rows on Opera, a single row elsewhere) and every rotor circuit port's
+resolver is a bound :class:`~repro.net.link.CircuitTable`. The pure
+engine reads them through :func:`~repro.net.node.table_route` and
+``CircuitTable.resolve``; the compiled dispatch and ``resolve_deliver``
+read the same objects in C, so a fault-free hop never calls into Python.
+The compiled ``SwitchNode`` calls the installed Python route only when
+the table leaves the decision open: the failure cell is armed, the row
+or entry is missing or empty (a first miss, which the route fills, or a
+stale stamp), or the packet is off the fast path.
+
 **The failure seam.** Live failure injection (``repro.core.faults`` +
 ``OperaSimNetwork.install_failures``) adds *zero* kernel code. Two
 deliberate properties of this seam make that possible:
 
-* The compiled ``SwitchNode`` calls the *Python* route closure per
-  packet (``_ckernel.c`` invokes ``route(switch, packet)`` exactly like
-  the pure engine), so blackholing on failed hops, dead-rack checks and
-  slice-parking live in one closure both kernels execute.
+* While ``_fault_cell`` holds a context, the compiled dispatch leaves
+  every packet to the *Python* route closure, so blackholing on failed
+  hops, dead-rack checks and slice-parking live in one closure both
+  kernels execute.
 * ``Port.resolver`` is re-read on every transmit in both kernels, so
-  the injector can swap a failure-aware uplink resolver in live.
+  the injector can swap a failure-aware uplink resolver (a plain Python
+  closure, which the compiled kernel calls) in for the circuit table.
 
 Dynamic state reaches the closures through one-slot mutable cells
 (actual failed sets mutated in place; the *detected* view swapped at
-hello epochs), never by reinstalling routers. Consequently ``py`` and
-``c`` runs stay byte-identical under active failures — CI's
-``faults-smoke`` job and ``tests/test_faults_dynamic.py`` pin this —
-and arming an empty schedule is bitwise invisible to either kernel.
+hello epochs), never by reinstalling routers; detection epochs clear the
+lazily filled tables. Consequently ``py`` and ``c`` runs stay
+byte-identical under active failures — CI's ``faults-smoke`` job and
+``tests/test_faults_dynamic.py`` pin this — and arming an empty schedule
+is bitwise invisible to either kernel.
 
 **The telemetry seam.** Metrics (``repro.obs.metrics``) likewise add
 *zero* kernel code. Every counter the snapshot reports already lives in

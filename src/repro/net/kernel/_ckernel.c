@@ -25,8 +25,15 @@
  * C and Python heap operations can interleave freely on one list.
  *
  * Limits: timestamps and sequence numbers must fit in int64 (9.2e18 ps
- * is ~107 days of simulated time); beyond that the kernel raises
- * OverflowError suggesting REPRO_KERNEL=py.
+ * is ~107 days of simulated time). Every integer the kernel reads goes
+ * through as_ll(), so anything at or beyond 2**63 raises one named
+ * OverflowError that points at REPRO_KERNEL=py.
+ *
+ * Forwarding: a switch's hops are served from its ForwardingTable (the
+ * `table` slot, see node.py) and a rotor circuit port's far end from its
+ * CircuitTable (link.py) without calling into Python; the Python route
+ * runs only for what the tables leave open (an armed failure cell, a
+ * missing or empty entry, anything off the fast path).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -72,8 +79,17 @@ typedef struct {
 } HostOffsets;
 
 typedef struct {
-    Py_ssize_t drops;
+    Py_ssize_t sim, drops, receive_cb, table;
 } SwitchOffsets;
+
+typedef struct {
+    Py_ssize_t rows, hosts_per_rack, rack, host_ports, relay, slice_ps,
+        fault_cell;
+} TableOffsets;
+
+typedef struct {
+    Py_ssize_t slice_ps, peer, dark_from;
+} CircuitOffsets;
 
 typedef struct {
     Py_ssize_t sent_packets, sent_bytes, trimmed, dropped_control,
@@ -85,6 +101,8 @@ static PortOffsets P;
 static PacketOffsets K;
 static HostOffsets H;
 static SwitchOffsets W;
+static TableOffsets FT;
+static CircuitOffsets CT;
 static StatsOffsets ST;
 static SourceOffsets NS;
 static SinkOffsets NK;
@@ -115,11 +133,16 @@ static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_at_many,
     *g_py_host_receive, *g_py_acquire, *g_py_src_on_packet,
     *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick;
 
+/* CircuitTable.resolve (the plain function): a port resolver that is this
+ * function bound to a CircuitTable is resolved from the table in C. */
+static PyObject *g_circuit_resolve;
+
 /* Base classes (for offset validity) and exact CK classes (fast path). */
 static PyTypeObject *t_sim, *t_port, *t_packet, *t_host, *t_switch;
 static PyTypeObject *t_cksim, *t_ckport, *t_ckhost, *t_ckswitch;
 static PyTypeObject *t_src, *t_sink, *t_pacer;
 static PyTypeObject *t_cksrc, *t_cksink, *t_ckpacer;
+static PyTypeObject *t_table, *t_circuit; /* ForwardingTable, CircuitTable */
 
 /* The PyCFunction behind the exported `enqueue` instancemethod — lets the
  * NDP send path recognise `ckport.enqueue` bound methods and call the C
@@ -137,7 +160,58 @@ static int g_ready = 0; /* init() completed */
 
 #define SLOT(o, off) (*(PyObject **)((char *)(o) + (off)))
 
+/* sha256 of this file, defined by setup.py at build time; the tier-1
+ * suite compares it with the source to catch a stale compiled module. */
+#ifndef CKERNEL_SOURCE_SHA256
+#define CKERNEL_SOURCE_SHA256 "unknown"
+#endif
+
 /* ---------------------------------------------------------------- helpers */
+
+/* The int64 boundary's one error, raised wherever a value leaves int64. */
+static void
+raise_int64_overflow(void)
+{
+    PyErr_SetString(PyExc_OverflowError,
+                    "ckernel: integer exceeds int64 (event times and "
+                    "sequence numbers must be below 2**63); run with "
+                    "REPRO_KERNEL=py");
+}
+
+/* Every integer read of the kernel. PyLong_AsLong when long is 64-bit:
+ * CPython 3.11's PyLong_AsLongLong converts a multi-digit int (every
+ * picosecond timestamp) through a generic byte-array path about three
+ * times slower. Returns -1 with an error set on failure. */
+static inline long long
+as_ll(PyObject *v)
+{
+#if LONG_MAX == LLONG_MAX
+    long long r = PyLong_AsLong(v);
+#else
+    long long r = PyLong_AsLongLong(v);
+#endif
+    if (r == -1 && PyErr_Occurred() &&
+        PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        PyErr_Clear();
+        raise_int64_overflow();
+    }
+    return r;
+}
+
+/* Exact-int read for the table fast paths: 0 with *out set, or 1 when `v`
+ * is anything but an int in int64 (the Python reading handles it). */
+static inline int
+exact_ll(PyObject *v, long long *out)
+{
+    if (v == NULL || !PyLong_CheckExact(v))
+        return 1;
+    *out = as_ll(v);
+    if (*out == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return 1;
+    }
+    return 0;
+}
 
 static inline PyObject *
 slot_get(PyObject *o, Py_ssize_t off, const char *name)
@@ -168,7 +242,7 @@ slot_ll(PyObject *o, Py_ssize_t off, const char *name, int *err)
         *err = 1;
         return -1;
     }
-    r = PyLong_AsLongLong(v);
+    r = as_ll(v);
     if (r == -1 && PyErr_Occurred()) {
         *err = 1;
         return -1;
@@ -205,20 +279,13 @@ slot_add_ll(PyObject *o, Py_ssize_t off, const char *name, long long delta)
 static inline int
 entry_key(PyObject *e, long long *t, long long *s)
 {
-    *t = PyLong_AsLongLong(PyTuple_GET_ITEM(e, 0));
+    *t = as_ll(PyTuple_GET_ITEM(e, 0));
     if (*t == -1 && PyErr_Occurred())
-        goto overflow;
-    *s = PyLong_AsLongLong(PyTuple_GET_ITEM(e, 1));
+        return -1;
+    *s = as_ll(PyTuple_GET_ITEM(e, 1));
     if (*s == -1 && PyErr_Occurred())
-        goto overflow;
+        return -1;
     return 0;
-overflow:
-    if (PyErr_ExceptionMatches(PyExc_OverflowError))
-        PyErr_SetString(
-            PyExc_OverflowError,
-            "ckernel: event timestamp/sequence exceeds int64; "
-            "run with REPRO_KERNEL=py");
-    return -1;
 }
 
 /* ---------------------------------------------------------------- heap ops
@@ -420,7 +487,7 @@ c_sim_at(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     cb = args[2];
     if (!g_ready || !sim_fast(self))
         return PyObject_Vectorcall(g_py_sim_at, args, nargs, NULL);
-    t = PyLong_AsLongLong(t_obj);
+    t = as_ll(t_obj);
     if (t == -1 && PyErr_Occurred())
         return NULL;
     now = slot_ll(self, S.now, "now", &err);
@@ -468,12 +535,17 @@ c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     cb = args[2];
     if (!g_ready || !sim_fast(self))
         return PyObject_Vectorcall(g_py_sim_after, args, nargs, NULL);
-    delay = PyLong_AsLongLong(args[1]);
+    delay = as_ll(args[1]);
     if (delay == -1 && PyErr_Occurred())
         return NULL;
     now = slot_ll(self, S.now, "now", &err);
     if (err)
         return NULL;
+    if ((delay > 0 && now > LLONG_MAX - delay) ||
+        (delay < 0 && now < LLONG_MIN - delay)) {
+        raise_int64_overflow();
+        return NULL;
+    }
     t = now + delay;
     if (t < now) {
         PyObject *t_obj = PyLong_FromLongLong(t);
@@ -559,7 +631,7 @@ c_at_many_impl(PyObject *self, PyObject *entries)
         for (i = 0; i < n; i++) {
             PyObject *triple = PyList_GET_ITEM(entries, i);
             PyObject *entry;
-            long long ti = PyLong_AsLongLong(PyTuple_GET_ITEM(triple, 0));
+            long long ti = as_ll(PyTuple_GET_ITEM(triple, 0));
             if (ti == -1 && PyErr_Occurred()) {
                 slot_set_ll(self, S.seq, seq);
                 return NULL;
@@ -587,7 +659,7 @@ c_at_many_impl(PyObject *self, PyObject *entries)
     }
 
     /* Validation pass: past check + pre-sorted detection. */
-    prev = PyLong_AsLongLong(PyTuple_GET_ITEM(PyList_GET_ITEM(entries, 0), 0));
+    prev = as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(entries, 0), 0));
     if (prev == -1 && PyErr_Occurred())
         return NULL;
     if (prev < now) {
@@ -599,7 +671,7 @@ c_at_many_impl(PyObject *self, PyObject *entries)
     pre_sorted = 1;
     for (i = 0; i < n; i++) {
         PyObject *triple = PyList_GET_ITEM(entries, i);
-        long long ti = PyLong_AsLongLong(PyTuple_GET_ITEM(triple, 0));
+        long long ti = as_ll(PyTuple_GET_ITEM(triple, 0));
         if (ti == -1 && PyErr_Occurred())
             return NULL;
         if (ti < now) {
@@ -633,7 +705,7 @@ c_at_many_impl(PyObject *self, PyObject *entries)
     }
     start = 0;
     prev_t =
-        PyLong_AsLongLong(PyTuple_GET_ITEM(PyList_GET_ITEM(block, 0), 0));
+        as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(block, 0), 0));
     if (prev_t == -1 && PyErr_Occurred()) {
         Py_DECREF(block);
         return NULL;
@@ -642,7 +714,7 @@ c_at_many_impl(PyObject *self, PyObject *entries)
     for (;;) {
         PyObject *entry;
         if (i < n) {
-            t = PyLong_AsLongLong(
+            t = as_ll(
                 PyTuple_GET_ITEM(PyList_GET_ITEM(block, i), 0));
             if (t == -1 && PyErr_Occurred())
                 goto fail;
@@ -763,7 +835,7 @@ c_run_train(PyObject *self, long long seq, PyObject *seq_obj, PyObject *targs,
     long long count = 0, t_next = 0;
     int err = 0;
 
-    pos = PyLong_AsSsize_t(PyTuple_GET_ITEM(targs, 1));
+    pos = (Py_ssize_t)as_ll(PyTuple_GET_ITEM(targs, 1));
     if (pos == -1 && PyErr_Occurred())
         return -1;
     n = PyList_GET_SIZE(elements);
@@ -787,7 +859,7 @@ c_run_train(PyObject *self, long long seq, PyObject *seq_obj, PyObject *targs,
                 return -1;
             return count;
         }
-        t_next = PyLong_AsLongLong(
+        t_next = as_ll(
             PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
         if (t_next == -1 && PyErr_Occurred())
             return -1;
@@ -872,12 +944,12 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
     has_until = until_obj != Py_None;
     has_max = max_obj != Py_None;
     if (has_until) {
-        until = PyLong_AsLongLong(until_obj);
+        until = as_ll(until_obj);
         if (until == -1 && PyErr_Occurred())
             return NULL;
     }
     if (has_max) {
-        maxev = PyLong_AsLongLong(max_obj);
+        maxev = as_ll(max_obj);
         if (maxev == -1 && PyErr_Occurred())
             return NULL;
     }
@@ -944,8 +1016,17 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
 static PyObject *
 get_deliver(PyObject *target)
 {
-    PyObject *cb = PyObject_GetAttr(target, s_receive_cb);
+    PyObject *cb;
     int truth;
+    if (Py_TYPE(target) == t_ckswitch) {
+        /* A compiled switch's receive_cb is its C dispatch function. */
+        cb = SLOT(target, W.receive_cb);
+        if (cb != NULL && PyCFunction_Check(cb)) {
+            Py_INCREF(cb);
+            return cb;
+        }
+    }
+    cb = PyObject_GetAttr(target, s_receive_cb);
     if (cb == NULL) {
         if (!PyErr_ExceptionMatches(PyExc_AttributeError))
             return NULL;
@@ -979,7 +1060,7 @@ expire_committed(PyObject *self, PyObject *committed, long long now)
         first = PySequence_GetItem(committed, 0);
         if (first == NULL)
             return -1;
-        t0 = PyLong_AsLongLong(PyTuple_GET_ITEM(first, 0));
+        t0 = as_ll(PyTuple_GET_ITEM(first, 0));
         Py_DECREF(first);
         if (t0 == -1 && PyErr_Occurred())
             return -1;
@@ -988,7 +1069,7 @@ expire_committed(PyObject *self, PyObject *committed, long long now)
         popped = PyObject_CallMethodNoArgs(committed, s_popleft);
         if (popped == NULL)
             return -1;
-        size = PyLong_AsLongLong(PyTuple_GET_ITEM(popped, 1));
+        size = as_ll(PyTuple_GET_ITEM(popped, 1));
         Py_DECREF(popped);
         if (size == -1 && PyErr_Occurred())
             return -1;
@@ -997,23 +1078,65 @@ expire_committed(PyObject *self, PyObject *committed, long long now)
     }
 }
 
-/* Resolve the delivery callback for a packet leaving `self` at start_ps.
+/* CircuitTable.resolve(packet, start) read straight from the table (mirror
+ * of link.py). Sets *target to a borrowed reference (Py_None on a dark or
+ * idle circuit). Returns 0, or 1 when the table is not in the shape this
+ * code reads, so the caller calls the Python method instead. */
+static int
+circuit_resolve(PyObject *table, long long start, PyObject **target)
+{
+    PyObject *peer = SLOT(table, CT.peer);
+    PyObject *dark = SLOT(table, CT.dark_from);
+    long long slice_ps, n, s, dark_from;
+
+    if (peer == NULL || dark == NULL || !PyTuple_CheckExact(peer) ||
+        !PyTuple_CheckExact(dark) ||
+        exact_ll(SLOT(table, CT.slice_ps), &slice_ps))
+        return 1;
+    n = PyTuple_GET_SIZE(peer);
+    if (slice_ps <= 0 || start < 0 || n == 0 || PyTuple_GET_SIZE(dark) != n)
+        return 1;
+    s = (start / slice_ps) % n;
+    if (exact_ll(PyTuple_GET_ITEM(dark, s), &dark_from))
+        return 1;
+    *target = start % slice_ps >= dark_from ? Py_None
+                                            : PyTuple_GET_ITEM(peer, s);
+    return 0;
+}
+
+/* Resolve the delivery callback for a packet leaving `self` at `start`
+ * (`start_obj`, if not NULL, is the same time as an int object).
  * Mirrors the deliver-resolution block shared by enqueue/_transmit.
  * On a dark circuit (*deliver_out left NULL, no error) the caller must
  * schedule the undeliverable event at `done`. Returns -1 on error. */
 static int
-resolve_deliver(PyObject *self, PyObject *packet, PyObject *start_obj,
-                PyObject **deliver_out)
+resolve_deliver(PyObject *self, PyObject *packet, long long start,
+                PyObject *start_obj, PyObject **deliver_out)
 {
     PyObject *deliver = SLOT(self, P.deliver);
     *deliver_out = NULL;
     if (deliver == Py_None) {
         PyObject *resolver = slot_get(self, P.resolver, "resolver");
-        PyObject *target;
+        PyObject *target = NULL;
         if (resolver == NULL)
             return -1;
-        target =
-            PyObject_CallFunctionObjArgs(resolver, packet, start_obj, NULL);
+        if (PyMethod_Check(resolver) &&
+            PyMethod_GET_FUNCTION(resolver) == g_circuit_resolve &&
+            Py_TYPE(PyMethod_GET_SELF(resolver)) == t_circuit &&
+            circuit_resolve(PyMethod_GET_SELF(resolver), start, &target) ==
+                0)
+            Py_INCREF(target);
+        else {
+            PyObject *args[2] = {packet, start_obj};
+            if (start_obj == NULL) {
+                args[1] = PyLong_FromLongLong(start);
+                if (args[1] == NULL)
+                    return -1;
+            }
+            target = PyObject_Vectorcall(resolver, args, 2, NULL);
+            if (start_obj == NULL)
+                Py_DECREF(args[1]);
+        }
         if (target == NULL)
             return -1;
         if (target == Py_None) {
@@ -1054,7 +1177,7 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
     long long per_byte, done, prop;
-    PyObject *stats, *deliver = NULL, *start_obj;
+    PyObject *stats, *deliver = NULL;
 
     if (err)
         return -1;
@@ -1070,14 +1193,8 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
     if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
         slot_add_ll(stats, ST.sent_bytes, "sent_bytes", size) < 0)
         return -1;
-    start_obj = PyLong_FromLongLong(start);
-    if (start_obj == NULL)
+    if (resolve_deliver(self, packet, start, NULL, &deliver) < 0)
         return -1;
-    if (resolve_deliver(self, packet, start_obj, &deliver) < 0) {
-        Py_DECREF(start_obj);
-        return -1;
-    }
-    Py_DECREF(start_obj);
     if (deliver == NULL) {
         /* Dark circuit: loss observed when the last bit leaves. */
         PyObject *undeliv = slot_get(self, P.undeliv_cb, "_undeliv_cb");
@@ -1214,7 +1331,7 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             if (slot_add_ll(stats, ST.trimmed, "trimmed", 1) < 0)
                 return NULL;
             priority = g_prio_control;
-            size = PyLong_AsLongLong(g_header_bytes);
+            size = as_ll(g_header_bytes);
         }
     }
     now = slot_ll(sim, S.now, "now", &err);
@@ -1288,8 +1405,8 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
                 slot_add_ll(stats, ST.sent_bytes, "sent_bytes", size) < 0)
                 return NULL;
-            if (resolve_deliver(self, packet, SLOT(sim, S.now), &deliver) <
-                0)
+            if (resolve_deliver(self, packet, now, SLOT(sim, S.now),
+                                &deliver) < 0)
                 return NULL;
             if (deliver == NULL) {
                 /* Dark circuit. */
@@ -1653,14 +1770,113 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
 
 /* --------------------------------------------------------------- dispatch */
 
+/* One hop served from the switch's ForwardingTable: the C reading of
+ * node.table_route. Returns a new reference to the egress port (or to
+ * CONSUMED once the packet went to the table's relay), or NULL: with an
+ * error set on failure, without one when the Python route must decide —
+ * the fault cell is armed, the row or entry is missing or empty (a first
+ * miss or a stale stamp), or anything is off the fast path. Nothing is
+ * written to the packet before the path is decided. */
+static PyObject *
+table_forward(PyObject *sw, PyObject *packet, long long hops)
+{
+    PyObject *table = SLOT(sw, W.table);
+    PyObject *cell, *dst_obj, *relay, *rows, *row, *entry, *ports, *port,
+        *stamp_obj;
+    long long dst, hpr, rack, dst_rack, slice_ps, stamp, inc, salt;
+    Py_ssize_t n;
+
+    if (table == NULL || Py_TYPE(table) != t_table)
+        return NULL;
+    cell = SLOT(table, FT.fault_cell);
+    if (cell != NULL && cell != Py_None &&
+        (!PyList_CheckExact(cell) || PyList_GET_SIZE(cell) != 1 ||
+         PyList_GET_ITEM(cell, 0) != Py_None))
+        return NULL; /* failures armed: the Python route handles them */
+    dst_obj = SLOT(packet, K.dst_host);
+    if (exact_ll(dst_obj, &dst) || dst < 0 ||
+        exact_ll(SLOT(table, FT.hosts_per_rack), &hpr) || hpr <= 0 ||
+        exact_ll(SLOT(table, FT.rack), &rack))
+        return NULL;
+    dst_rack = dst / hpr;
+    if (dst_rack == rack) {
+        PyObject *host_ports = SLOT(table, FT.host_ports);
+        if (host_ports == NULL || !PyDict_CheckExact(host_ports))
+            return NULL;
+        port = PyDict_GetItemWithError(host_ports, dst_obj);
+        Py_XINCREF(port);
+        return port; /* NULL: lookup error, or a KeyError for Python */
+    }
+    relay = SLOT(table, FT.relay);
+    if (relay != NULL && relay != Py_None &&
+        SLOT(packet, K.priority) == g_prio_bulk &&
+        SLOT(packet, K.kind) == g_kind_data) {
+        /* Bulk landing on a foreign rack: RotorLB relay traffic. */
+        PyObject *r;
+        if (slot_set_ll(packet, K.hops, hops + 1) < 0)
+            return NULL;
+        r = PyObject_CallOneArg(relay, packet);
+        if (r == NULL)
+            return NULL;
+        Py_DECREF(r);
+        Py_INCREF(g_consumed);
+        return g_consumed;
+    }
+    rows = SLOT(table, FT.rows);
+    if (rows == NULL || !PyList_CheckExact(rows) ||
+        exact_ll(SLOT(table, FT.slice_ps), &slice_ps) || slice_ps < 0)
+        return NULL;
+    stamp = 0;
+    stamp_obj = NULL;
+    if (slice_ps > 0) {
+        stamp_obj = SLOT(packet, K.slice_stamp);
+        if (stamp_obj == Py_None) {
+            PyObject *sim = SLOT(sw, W.sim);
+            long long now;
+            if (sim == NULL || !PyObject_TypeCheck(sim, t_sim) ||
+                exact_ll(SLOT(sim, S.now), &now) || now < 0 ||
+                PyList_GET_SIZE(rows) == 0)
+                return NULL;
+            stamp = (now / slice_ps) % PyList_GET_SIZE(rows);
+        }
+        else if (exact_ll(stamp_obj, &stamp))
+            return NULL;
+    }
+    if (stamp < 0 || stamp >= PyList_GET_SIZE(rows))
+        return NULL;
+    row = PyList_GET_ITEM(rows, stamp);
+    if (!PyList_CheckExact(row) || dst_rack >= PyList_GET_SIZE(row))
+        return NULL;
+    entry = PyList_GET_ITEM(row, dst_rack);
+    if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2)
+        return NULL;
+    ports = PyTuple_GET_ITEM(entry, 0);
+    if (!PyTuple_CheckExact(ports) || (n = PyTuple_GET_SIZE(ports)) == 0 ||
+        exact_ll(PyTuple_GET_ITEM(entry, 1), &inc) ||
+        exact_ll(SLOT(packet, K.salt), &salt) || salt < 0 ||
+        salt > LLONG_MAX - hops || hops < 0 || inc < 0 ||
+        inc > LLONG_MAX - hops)
+        return NULL;
+    port = PyTuple_GET_ITEM(ports, (salt + hops) % n);
+    /* Decided: stamp a fresh packet and count the hop. */
+    if (stamp_obj == Py_None &&
+        slot_set_ll(packet, K.slice_stamp, stamp) < 0)
+        return NULL;
+    if (inc != 0 && slot_set_ll(packet, K.hops, hops + inc) < 0)
+        return NULL;
+    Py_INCREF(port);
+    return port;
+}
+
 /* Fused switch delivery: TTL guard, route, egress enqueue. Bound context
  * is (switch, route, py_dispatch); py_dispatch is the pure-Python fused
- * closure, used verbatim for anything off the fast path. */
+ * closure, used verbatim for anything off the fast path. Hops come from
+ * the switch's table; `route` runs only for what table_forward leaves to
+ * Python. */
 static PyObject *
 c_dispatch(PyObject *ctx, PyObject *packet)
 {
     PyObject *sw = PyTuple_GET_ITEM(ctx, 0);
-    PyObject *route = PyTuple_GET_ITEM(ctx, 1);
     PyObject *port;
     long long hops;
     int err = 0;
@@ -1677,9 +1893,15 @@ c_dispatch(PyObject *ctx, PyObject *packet)
             return NULL;
         Py_RETURN_NONE;
     }
-    port = PyObject_CallFunctionObjArgs(route, sw, packet, NULL);
-    if (port == NULL)
-        return NULL;
+    port = table_forward(sw, packet, hops);
+    if (port == NULL) {
+        PyObject *args[2] = {sw, packet};
+        if (PyErr_Occurred())
+            return NULL;
+        port = PyObject_Vectorcall(PyTuple_GET_ITEM(ctx, 1), args, 2, NULL);
+        if (port == NULL)
+            return NULL;
+    }
     if (port == g_consumed) {
         Py_DECREF(port);
         Py_RETURN_NONE;
@@ -1847,12 +2069,12 @@ src_emit(PyObject *self, PyObject *seq_obj)
         PyObject *sz = PyObject_GetAttr(record, s_size_bytes);
         if (sz == NULL)
             goto done;
-        size_ll = PyLong_AsLongLong(sz);
+        size_ll = as_ll(sz);
         Py_DECREF(sz);
         if (size_ll == -1 && PyErr_Occurred())
             goto done;
     }
-    seq_ll = PyLong_AsLongLong(seq_obj);
+    seq_ll = as_ll(seq_obj);
     if (seq_ll == -1 && PyErr_Occurred())
         goto done;
     remaining = size_ll - seq_ll * payload;
@@ -2238,11 +2460,11 @@ c_sink_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
                 sz = PyObject_GetAttr(srecord, s_size_bytes);
                 if (sz == NULL)
                     return NULL;
-                size_ll = PyLong_AsLongLong(sz);
+                size_ll = as_ll(sz);
                 Py_DECREF(sz);
                 if (size_ll == -1 && PyErr_Occurred())
                     return NULL;
-                seq_ll = PyLong_AsLongLong(seq_obj);
+                seq_ll = as_ll(seq_obj);
                 if (seq_ll == -1 && PyErr_Occurred())
                     return NULL;
                 remaining = size_ll - seq_ll * payload;
@@ -2546,7 +2768,35 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     Py_XDECREF((PyObject *)t_switch);
     t_switch = (PyTypeObject *)cls;
     Py_INCREF(cls);
+    OFF(cls, "sim", W.sim);
     OFF(cls, "drops", W.drops);
+    OFF(cls, "receive_cb", W.receive_cb);
+    OFF(cls, "table", W.table);
+
+    /* ForwardingTable offsets */
+    CFG_OBJ(tmp, "ForwardingTable");
+    cls = tmp;
+    Py_XDECREF((PyObject *)t_table);
+    t_table = (PyTypeObject *)cls;
+    Py_INCREF(cls);
+    OFF(cls, "rows", FT.rows);
+    OFF(cls, "hosts_per_rack", FT.hosts_per_rack);
+    OFF(cls, "rack", FT.rack);
+    OFF(cls, "host_ports", FT.host_ports);
+    OFF(cls, "relay", FT.relay);
+    OFF(cls, "slice_ps", FT.slice_ps);
+    OFF(cls, "fault_cell", FT.fault_cell);
+
+    /* CircuitTable offsets */
+    CFG_OBJ(tmp, "CircuitTable");
+    cls = tmp;
+    Py_XDECREF((PyObject *)t_circuit);
+    t_circuit = (PyTypeObject *)cls;
+    Py_INCREF(cls);
+    OFF(cls, "slice_ps", CT.slice_ps);
+    OFF(cls, "peer", CT.peer);
+    OFF(cls, "dark_from", CT.dark_from);
+    CFG_OBJ(g_circuit_resolve, "circuit_resolve");
 
     /* PortStats offsets */
     CFG_OBJ(tmp, "PortStats");
@@ -2625,11 +2875,11 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
         return NULL;
     }
     CFG_OBJ(tmp, "POOL_MAX");
-    g_pool_max = PyLong_AsLong(tmp);
+    g_pool_max = (long)as_ll(tmp);
     CFG_OBJ(tmp, "MAX_HOPS");
-    g_max_hops = PyLong_AsLongLong(tmp);
+    g_max_hops = as_ll(tmp);
     CFG_OBJ(g_header_bytes, "HEADER_BYTES");
-    g_header_ll = PyLong_AsLongLong(g_header_bytes);
+    g_header_ll = as_ll(g_header_bytes);
     if (g_header_ll == -1 && PyErr_Occurred())
         return NULL;
     CFG_OBJ(g_py_sim_at, "py_at");
@@ -2803,6 +3053,9 @@ PyInit__ckernel(void)
         s_flow_id == NULL || s_src_host == NULL || s_dst_host == NULL ||
         s_size_bytes == NULL || s_end_ps == NULL ||
         s_retransmissions == NULL || s_value == NULL)
+        goto fail;
+    if (PyModule_AddStringConstant(m, "SOURCE_SHA256",
+                                   CKERNEL_SOURCE_SHA256) < 0)
         goto fail;
     g_empty = PyTuple_New(0);
     g_src_salt = PyLong_FromLongLong(0x9E3779B9LL);

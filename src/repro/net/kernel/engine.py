@@ -17,9 +17,9 @@ doubles) back to the pure-Python implementations passed to ``init``.
 from __future__ import annotations
 
 from .. import sim as _sim_mod
-from ..link import _LAZY, Port, PortStats
+from ..link import _LAZY, CircuitTable, Port, PortStats
 from ..ndp import NdpSink, NdpSource, PullPacer
-from ..node import CONSUMED, MAX_HOPS, Host, SwitchNode
+from ..node import CONSUMED, MAX_HOPS, ForwardingTable, Host, SwitchNode
 from ..packet import (
     _POOL,
     _POOL_MAX,
@@ -49,6 +49,9 @@ _ckernel.init(
         "Packet": Packet,
         "Host": Host,
         "SwitchNode": SwitchNode,
+        "ForwardingTable": ForwardingTable,
+        "CircuitTable": CircuitTable,
+        "circuit_resolve": CircuitTable.resolve,
         "PortStats": PortStats,
         "TRAIN": _sim_mod._TRAIN,
         "LAZY": _LAZY,
@@ -122,9 +125,13 @@ class CKHost(Host):
 class CKSwitchNode(SwitchNode):
     """Switch whose fused dispatch closure is built in C.
 
-    The base setter performs the install-once check and builds the
-    pure-Python fused closure; that closure is kept as the fallback for
-    packets/ports the C dispatch cannot prove are fast-path.
+    The C dispatch serves hops from the switch's ``table`` and calls the
+    installed route only for what the table leaves to Python. The base
+    setter performs the install-once check and builds the pure-Python
+    fused closure; that closure is kept as the fallback for packets the C
+    dispatch cannot prove are fast-path. ``router`` stays a property in
+    this class's ``__dict__``: per-layer timing wraps routes by patching
+    it, which then counts only the calls that reach Python.
     """
 
     __slots__ = ()

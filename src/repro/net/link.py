@@ -53,7 +53,7 @@ from ..core.timing import PS_PER_S
 from .packet import HEADER_BYTES, Packet, PacketKind, Priority
 from .sim import Simulator
 
-__all__ = ["Port", "PortStats"]
+__all__ = ["Port", "PortStats", "CircuitTable"]
 
 _CONTROL = Priority.CONTROL
 _LOW_LATENCY = Priority.LOW_LATENCY
@@ -97,6 +97,33 @@ class PortStats:
             "dropped_bulk": self.dropped_bulk,
             "undeliverable": self.undeliverable,
         }
+
+
+class CircuitTable:
+    """A rotor circuit port's far end for each slice of the cycle.
+
+    In slice ``s`` the circuit reaches ``peer[s]`` (``None`` on an
+    identity assignment: the port idles) and goes dark from offset
+    ``dark_from[s]`` into the slice while the mirrors retarget
+    (``slice_ps`` for a circuit that stays lit all slice). A port whose
+    ``resolver`` is this table's bound :meth:`resolve` is resolved by the
+    compiled kernel straight from the table; any other resolver (e.g. a
+    failure-aware one) is called as Python.
+    """
+
+    __slots__ = ("slice_ps", "peer", "dark_from")
+
+    def __init__(self, slice_ps: int, peer: tuple, dark_from: tuple) -> None:
+        self.slice_ps = slice_ps
+        self.peer = peer
+        self.dark_from = dark_from
+
+    def resolve(self, _packet: Packet, now_ps: int):
+        slice_ps = self.slice_ps
+        s = (now_ps // slice_ps) % len(self.peer)
+        if now_ps % slice_ps >= self.dark_from[s]:
+            return None
+        return self.peer[s]
 
 
 class Port:

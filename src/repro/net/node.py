@@ -5,10 +5,19 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from .link import Port
-from .packet import Packet, PacketKind, release
+from .packet import Packet, PacketKind, Priority, release
 from .sim import Simulator
 
-__all__ = ["Host", "SwitchNode", "Blackhole", "FlowEndpoint", "MAX_HOPS", "CONSUMED"]
+__all__ = [
+    "Host",
+    "SwitchNode",
+    "ForwardingTable",
+    "table_route",
+    "Blackhole",
+    "FlowEndpoint",
+    "MAX_HOPS",
+    "CONSUMED",
+]
 
 #: TTL guard: a packet bouncing more ToR hops than this is dropped.
 MAX_HOPS = 32
@@ -19,6 +28,7 @@ CONSUMED = object()
 
 _DATA = PacketKind.DATA
 _HEADER = PacketKind.HEADER
+_BULK = Priority.BULK
 
 
 class FlowEndpoint(Protocol):
@@ -81,21 +91,138 @@ class Host:
         return f"Host({self.host_id}, rack={self.rack})"
 
 
+class ForwardingTable:
+    """One switch's forwarding state, as data both engine kernels read.
+
+    ``rows[stamp][dst_rack]`` is an entry ``(ports, increment)``: the
+    switch sends the packet out of ``ports[(salt + hops) % len(ports)]``
+    and adds ``increment`` to ``packet.hops``. On a stamped fabric
+    (``slice_ps > 0``, Opera) there is one row per slice of the cycle and
+    ``stamp`` is the packet's slice stamp; every other fabric has a
+    single row. A packet for this switch's own ``rack`` goes to
+    ``host_ports[dst_host]``, and a bulk DATA packet for a foreign rack
+    goes to ``relay`` (a RotorLB agent's ``accept_relay``) when one is
+    set.
+
+    Tables with ``next_hops`` fill lazily: a ``None`` row (``n_racks``
+    entries once built) or entry is computed on first use from
+    ``next_hops(stamp, dst_rack)`` (the egress ports toward ``dst_rack``)
+    and stored with increment 1, and :meth:`clear` drops them all when the
+    routing changes. Without ``next_hops`` every entry is built up front
+    and ``None`` means no route. ``fault_cell`` is the owning network's
+    one-slot failure box: while it holds a context, the compiled kernel
+    leaves every packet to the Python route.
+    """
+
+    __slots__ = (
+        "rows",
+        "n_racks",
+        "hosts_per_rack",
+        "rack",
+        "host_ports",
+        "relay",
+        "slice_ps",
+        "next_hops",
+        "fault_cell",
+    )
+
+    def __init__(
+        self,
+        rows: list,
+        hosts_per_rack: int,
+        *,
+        rack: int = -1,
+        host_ports: dict[int, Port] | None = None,
+        relay: Callable[[Packet], None] | None = None,
+        slice_ps: int = 0,
+        next_hops: Callable[[int, int], tuple] | None = None,
+        n_racks: int = 0,
+        fault_cell: list | None = None,
+    ) -> None:
+        self.rows = rows
+        self.n_racks = n_racks
+        self.hosts_per_rack = hosts_per_rack
+        self.rack = rack
+        self.host_ports = host_ports
+        self.relay = relay
+        self.slice_ps = slice_ps
+        self.next_hops = next_hops
+        self.fault_cell = fault_cell
+
+    def entry(self, stamp: int, dst_rack: int) -> tuple | None:
+        row = self.rows[stamp]
+        entry = None if row is None else row[dst_rack]
+        if entry is None and self.next_hops is not None:
+            entry = (self.next_hops(stamp, dst_rack), 1)
+            if row is None:
+                row = self.rows[stamp] = [None] * self.n_racks
+            row[dst_rack] = entry
+        return entry
+
+    def clear(self) -> None:
+        """Drop every lazily filled row (the routing epoch changed)."""
+        self.rows[:] = [None] * len(self.rows)
+
+
+def table_route(switch: "SwitchNode", packet: Packet):
+    """The route every switch runs: one lookup in ``switch.table``.
+
+    This is the pure-Python reading of :class:`ForwardingTable`; the
+    compiled dispatch serves the same lookups itself and calls this
+    function only for what it leaves to Python (a missing or empty entry,
+    or anything off its fast path).
+    """
+    table = switch.table
+    dst_host = packet.dst_host
+    dst_rack = dst_host // table.hosts_per_rack
+    if dst_rack == table.rack:
+        return table.host_ports[dst_host]
+    relay = table.relay
+    if relay is not None and packet.priority is _BULK and packet.kind is _DATA:
+        # Bulk landing on a foreign rack: absorb as relay traffic (a
+        # missed slice or an intentional VLB first hop).
+        packet.hops += 1
+        relay(packet)
+        return CONSUMED
+    slice_ps = table.slice_ps
+    if slice_ps:
+        stamp = packet.slice_stamp
+        if stamp is None:
+            stamp = packet.slice_stamp = (switch.sim.now // slice_ps) % len(table.rows)
+        entry = table.entry(stamp, dst_rack)
+        if entry is None or not entry[0]:
+            # Stale stamp (e.g. a rerouted packet): retry on the current slice.
+            stamp = packet.slice_stamp = (switch.sim.now // slice_ps) % len(table.rows)
+            entry = table.entry(stamp, dst_rack)
+    else:
+        entry = table.entry(0, dst_rack)
+    if entry is None or not entry[0]:
+        return None
+    ports, increment = entry
+    port = ports[(packet.salt + packet.hops) % len(ports)]
+    packet.hops += increment
+    return port
+
+
 class SwitchNode:
     """A packet switch: routing is a pluggable callback.
 
     ``router(switch, packet)`` returns the egress :class:`Port`, or ``None``
     to drop (the drop is counted; transports recover via NDP trimming or
-    RotorLB requeueing upstream).
+    RotorLB requeueing upstream). The network builders install
+    :func:`table_route` (or a closure around it) and put the switch's
+    :class:`ForwardingTable` in ``table``, which the compiled kernel reads
+    directly.
     """
 
-    __slots__ = ("sim", "name", "_router", "drops", "receive_cb")
+    __slots__ = ("sim", "name", "_router", "drops", "receive_cb", "table")
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
         self._router: Callable[["SwitchNode", Packet], Port | None] | None = None
         self.drops = 0
+        self.table: ForwardingTable | None = None
         #: Prebound ``self.receive`` for zero-allocation delivery events;
         #: replaced by a fused dispatch closure when a router is installed.
         self.receive_cb = self.receive
@@ -119,9 +246,10 @@ class SwitchNode:
         # to rewire instead. Anything that must *change* mid-run (live
         # failure state, routing epochs) therefore lives in mutable state
         # the installed closure consults per packet, never in a new
-        # closure (see repro.net.failures; the compiled kernel calls the
-        # same Python route closure, which is what keeps the kernels
-        # bit-identical under dynamic failures).
+        # closure (see repro.net.failures; while a failure schedule is
+        # armed the compiled kernel calls the same Python route closure,
+        # which is what keeps the kernels bit-identical under dynamic
+        # failures).
         if self._router is not None:
             raise RuntimeError(
                 f"{self.name}: router already installed; ports may have "

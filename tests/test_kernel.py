@@ -249,3 +249,131 @@ class TestKernelRunnerDifferential:
             cache=ResultCache(tmp_path), executor="distributed", workers=2
         ).run(names=["fig07"], overrides=tiny)[0]
         assert dist.value == plain
+
+
+@requires_c
+def test_compiled_module_is_built_from_the_committed_source():
+    # The compiled module is tracked in git and used whenever it imports;
+    # setup.py embeds the sha256 of the _ckernel.c it was built from.
+    import hashlib
+    from pathlib import Path
+
+    from repro.net.kernel import _ckernel
+
+    source = Path(kernel_mod.__file__).with_name("_ckernel.c")
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    assert getattr(_ckernel, "SOURCE_SHA256", None) == digest, (
+        f"{_ckernel.__file__} was not built from the current {source.name}; "
+        "rebuild it with `python setup.py build_ext --inplace`"
+    )
+
+
+def big_time_trace(kernel):
+    """A self-scheduling run whose event times climb to exactly 2**62."""
+    sim = engine_classes(kernel).Simulator()
+    rng = random.Random(62)
+    top = 2**62
+    base = top - 5_000_000_000
+    trace = []
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+        if len(trace) < 400:
+            step = rng.choice((0, rng.randrange(1, 50_000_000)))
+            if sim.now + step <= top:
+                sim.after(step, fire, tag + 1)
+            sim.at_many(
+                [(min(top, sim.now + rng.randrange(0, 90_000_000)), fire, (tag + 7,))
+                 for _ in range(rng.randrange(0, 3))]
+            )
+
+    sim.at(base, fire, 0)
+    sim.at(top, fire, 1_000)
+    sim.at_many([(base + i * 7_000_000, fire, (100 + i,)) for i in range(5)])
+    sim.run(until_ps=base + 1_000_000_000, max_events=150)
+    sim.run(until_ps=top)
+    return tuple(trace), sim.now, sim.events_processed, sim.pending
+
+
+@requires_c
+class TestInt64Boundary:
+    """The compiled kernel's int64 limit ends in one named error."""
+
+    LIMIT = 2**63
+
+    def sim(self):
+        return engine_classes("c").Simulator()
+
+    def noop(self):
+        pass
+
+    def test_times_up_to_2_pow_62_are_bit_identical(self):
+        py = big_time_trace("py")
+        assert py[0][-1][0] == 2**62 and len(py[0]) > 100
+        assert big_time_trace("c") == py
+
+    def test_at(self):
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            self.sim().at(self.LIMIT, self.noop)
+
+    def test_after(self):
+        sim = self.sim()
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            sim.after(self.LIMIT, self.noop)
+        # A delay that fits but whose sum with now does not.
+        sim.at(10, self.noop)
+        sim.run()
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            sim.after(self.LIMIT - 5, self.noop)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_at_many(self, n):
+        entries = [(5, self.noop, ())] * (n - 1) + [(self.LIMIT, self.noop, ())]
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            self.sim().at_many(entries)
+
+    def test_run(self):
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            self.sim().run(until_ps=self.LIMIT)
+        # An event time past int64 already on the heap (pushed through the
+        # pure-Python scheduler) fails the compiled run loop the same way.
+        sim = self.sim()
+        engine_classes("py").Simulator.at(sim, self.LIMIT, self.noop)
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            sim.run()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--profile", "3"], ["c"]),
+        (["--profile", "3", "--kernels", "py,c"], ["py", "c"]),
+    ],
+)
+def test_microbench_profile_honours_kernels(monkeypatch, capsys, argv, expected):
+    # --profile profiles the shipping kernel unless --kernels says
+    # otherwise, and splits the event loop's self time from callbacks.
+    import importlib
+    import sys
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "benchmarks"))
+    mb = importlib.import_module("engine_microbench")
+    profiled = []
+
+    def tiny_run_network(kind, scheduler, coalesce=True, kernel="py"):
+        profiled.append(kernel)
+        sim = engine_classes(kernel).Simulator()
+        sim.at(5, sys.getrecursionlimit)
+        sim.run()
+
+    monkeypatch.setattr(mb, "run_network", tiny_run_network)
+    monkeypatch.setattr(mb, "WORKLOAD", {**mb.WORKLOAD, "networks": ["opera"]})
+    if "c" in expected and not compiled_available():
+        expected = [k for k in expected if k != "c"]
+    assert mb.main(argv) == 0
+    assert profiled == expected
+    out = capsys.readouterr().out
+    for kernel in expected:
+        assert f"REPRO_KERNEL={kernel}" in out
+    assert out.count("event loop:") == len(expected)
