@@ -1,7 +1,7 @@
-"""Engine throughput: fig07 microbenchmark under both schedulers.
+"""Engine throughput: fig07 microbenchmark under both kernels.
 
-Runs the fixed Figure 7 packet workload through the heap and timing-wheel
-schedulers, asserts the fast-path engine's floor, and writes a local
+Runs the fixed Figure 7 packet workload under the pure-Python and the
+compiled kernel, asserts the fast-path engine's floor, and writes a local
 ``BENCH_engine.local.json`` snapshot. The *committed* ``BENCH_engine.json``
 (the CI perf-smoke anchor) is only updated deliberately, via::
 
@@ -24,11 +24,11 @@ def test_engine_microbench(benchmark):
     emit("Engine microbenchmark (fig07 workload)", format_rows(doc))
     ARTIFACT.write_text(json.dumps(doc, indent=2) + "\n")
     heap = doc["engines"]["heap"]
-    wheel = doc["engines"]["wheel"]
-    # Identical workload, identical results: both schedulers dispatch the
+    heap_c = doc["engines"]["heap-c"]
+    # Identical workload, identical results: both kernels dispatch the
     # same number of events and hops (bit-identical runs).
-    assert heap["events"] == wheel["events"]
-    assert heap["packet_hops"] == wheel["packet_hops"]
+    assert heap["events"] == heap_c["events"]
+    assert heap["packet_hops"] == heap_c["packet_hops"]
     # The fast-path engine must stay comfortably ahead of the pre-PR
     # engine's event throughput on the reference stream (>=3x at commit
     # time; this floor only guards against catastrophic regressions since

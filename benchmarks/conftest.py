@@ -6,7 +6,8 @@ the same rows/series the paper's table or figure reports, and asserts the
 qualitative *shape* the paper claims (who wins, by roughly what factor).
 
 Scale note: packet-level experiments run at reduced scale by default; see
-``EXPERIMENTS.md`` for the mapping to the paper's configurations.
+README's "Scale profiles" section for the mapping to the paper's
+configurations.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Runs the Figure 7 reduced-scale workload (Datamining arrivals at 10% load
 over all five evaluation networks, 4 ms of arrivals + 10 ms drain) under
-each scheduler x kernel (``REPRO_KERNEL=py|c``, compiled records suffixed
-``-c``) and records throughput to ``BENCH_engine.json`` so the engine's
-perf trajectory is tracked from PR 2 on. The c-kernel records double as a
-differential check: their deterministic observables (events, entries,
-hops, trains) must equal the py oracle's exactly or the bench aborts.
+each kernel (``REPRO_KERNEL=py|c``: records ``heap`` and ``heap-c``) and
+records throughput to ``BENCH_engine.json`` so the engine's perf
+trajectory is tracked from PR 2 on. The ``heap-c`` record doubles as a
+differential check: its deterministic observables (events, entries,
+hops) must equal the py oracle's exactly or the bench aborts.
 
 Metrics per engine configuration:
 
@@ -16,15 +16,10 @@ Metrics per engine configuration:
   understates the win: fewer, heavier events remain.
 * ``packet_hops`` / ``hops_per_sec`` — simulated work per second, the
   event-structure-independent measure.
-* ``sched_entries`` / ``events_per_hop`` — scheduler insertions actually
-  performed and their ratio to packet hops: the per-event interpreter
-  cost the coalescing engine attacks. Both are deterministic (no wall
-  clock involved), so the CI gate on ``events_per_hop`` has zero runner
-  noise. The default engines run with coalescing on; the ``heap-legacy``
-  record is the same workload with ``REPRO_COALESCE=0`` (one entry per
-  event), pinning what coalescing saves — and, because coalesced runs
-  are bit-identical, its ``events``/``packet_hops`` double as a
-  differential check.
+* ``sched_entries`` / ``events_per_hop`` — heap insertions performed
+  and their ratio to packet hops: the per-event interpreter cost. Both
+  are deterministic (no wall clock involved), so the CI gate on
+  ``events_per_hop`` has zero runner noise.
 * ``reference_events_per_sec`` — the pre-PR engine's event count for this
   exact workload divided by the current wall time: throughput denominated
   in the *reference* event stream, directly comparable across engine
@@ -38,12 +33,8 @@ attributable to specific code. Each profile first splits the event
 loop's time into its own self time (under ``c``: the compiled loop and
 every C fast path it runs) and the Python callbacks it calls.
 
-Two further phases feed the artifact:
+Further phases feed the artifact:
 
-* ``--depths`` — a synthetic heap-vs-wheel steady-state bench at
-  paper-scale pending depths (prefill N events, then pop-one/push-one).
-  The per-profile default scheduler (``fctsim.SCHEDULER_BY_SCALE``) is
-  picked from its committed results.
 * ``--sharded-workers N[,M...]`` — the sharded fig07 grid through the
   scenario Runner at ``--sharded-scale``, recording wall and cells/sec
   per worker count (the CI perf-smoke job gates on cells/sec with the
@@ -63,7 +54,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/engine_microbench.py \
         --output BENCH_engine.json [--check BENCH_engine.json] [--repeat 3] \
-        [--profile 25] [--depths] [--sharded ci:1,2]
+        [--profile 25] [--sharded ci:1,2]
 
 ``--check`` compares the fresh run against a committed artifact and exits
 non-zero on a >2x regression of ``reference_events_per_sec``, a >10%
@@ -80,12 +71,10 @@ import os
 import sys
 import tempfile
 import time
-from heapq import heappop, heappush
 from pathlib import Path
 
 from repro.experiments.fctsim import build_network
 from repro.net.kernel import compiled_available
-from repro.net.wheel import TimingWheel
 from repro.obs.metrics import iter_ports as _all_ports
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.distributions import DATAMINING
@@ -114,8 +103,7 @@ PRE_PR_REFERENCE = {
     "events_per_sec": 304_845,
 }
 
-#: The PR-4 heap record on this workload (pre-coalescing: every event was
-#: its own scheduler entry), the anchor for the event-coalescing PR's
+#: The PR-4 heap record on this workload, the anchor for the
 #: ``events_per_hop`` and ``hops_per_sec`` comparisons.
 PR4_REFERENCE = {
     "events": 623_430,
@@ -125,17 +113,9 @@ PR4_REFERENCE = {
 }
 
 
-def run_network(
-    kind: str, scheduler: str, coalesce: bool = True, kernel: str = "py"
-) -> dict:
+def run_network(kind: str, kernel: str = "py") -> dict:
     """One network of the workload; returns events/entries/hops/wall."""
-    import os
-
-    prev = os.environ.get("REPRO_SCHEDULER")
-    prev_coalesce = os.environ.get("REPRO_COALESCE")
     prev_kernel = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    os.environ["REPRO_COALESCE"] = "1" if coalesce else "0"
     os.environ["REPRO_KERNEL"] = kernel
     try:
         t0 = time.perf_counter()
@@ -166,14 +146,6 @@ def run_network(
         )
         wall = time.perf_counter() - t0
     finally:
-        if prev is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = prev
-        if prev_coalesce is None:
-            os.environ.pop("REPRO_COALESCE", None)
-        else:
-            os.environ["REPRO_COALESCE"] = prev_coalesce
         if prev_kernel is None:
             os.environ.pop("REPRO_KERNEL", None)
         else:
@@ -183,7 +155,6 @@ def run_network(
         "network": kind,
         "events": net.sim.events_processed,
         "sched_entries": net.sim.sched_pushes,
-        "trains": net.sim.trains_formed,
         "packet_hops": hops,
         "wall_s": wall,
         "flows": len(net.stats.flows),
@@ -191,20 +162,15 @@ def run_network(
     }
 
 
-def _assemble_engine(
-    scheduler: str, coalesce: bool, kernel: str, best: list[dict]
-) -> dict:
+def _assemble_engine(kernel: str, best: list[dict]) -> dict:
     events = sum(r["events"] for r in best)
     entries = sum(r["sched_entries"] for r in best)
     hops = sum(r["packet_hops"] for r in best)
     wall = sum(r["wall_s"] for r in best)
     return {
-        "scheduler": scheduler,
-        "coalesce": coalesce,
         "kernel": kernel,
         "events": events,
         "sched_entries": entries,
-        "trains": sum(r["trains"] for r in best),
         "packet_hops": hops,
         "events_per_hop": round(entries / hops, 4),
         "wall_s": round(wall, 4),
@@ -215,22 +181,17 @@ def _assemble_engine(
     }
 
 
-def run_microbench(
-    schedulers: tuple[str, ...] = ("heap", "wheel"),
-    repeat: int = 1,
-    legacy: bool = True,
-    kernels: tuple[str, ...] = ("py", "c"),
-) -> dict:
-    # Engine configurations are measured round-robin (one full pass per
-    # configuration per round, best-of-`repeat` rounds) so slow drift of
-    # the host — tens of percent over minutes on shared 1-core boxes —
-    # biases no configuration: back-to-back passes see the same machine.
+def run_microbench(repeat: int = 1, kernels: tuple[str, ...] = ("py", "c")) -> dict:
+    # Kernels are measured round-robin (one full pass per kernel per
+    # round, best-of-`repeat` rounds) so slow drift of the host — tens of
+    # percent over minutes on shared 1-core boxes — biases neither:
+    # back-to-back passes see the same machine.
     #
-    # Kernel naming: the pure-Python records keep their historical names
-    # ("heap", "wheel") so the artifact stays comparable across PRs; the
-    # compiled-kernel records are suffixed "-c" ("heap-c"). REPRO_KERNEL=c
-    # is never benchmarked when the compiled module is absent — the auto
-    # fallback would silently produce py numbers under a c label.
+    # The pure-Python record keeps its historical name ("heap") so the
+    # artifact stays comparable across PRs; the compiled-kernel record is
+    # "heap-c". REPRO_KERNEL=c is never benchmarked when the compiled
+    # module is absent — the auto fallback would silently produce py
+    # numbers under a c label.
     if "c" in kernels and not compiled_available():
         print(
             "note: compiled kernel (_ckernel) not built; skipping the "
@@ -238,43 +199,28 @@ def run_microbench(
             "--inplace`)"
         )
         kernels = tuple(k for k in kernels if k != "c")
-    configs: list[tuple[str, str, bool, str]] = []
-    for kernel in kernels:
-        suffix = "" if kernel == "py" else f"-{kernel}"
-        configs.extend((f"{s}{suffix}", s, True, kernel) for s in schedulers)
-    if legacy and "py" in kernels:
-        # The uncoalesced heap path: pins what coalescing saves, and its
-        # (deterministic) events/hops double as a differential check
-        # against the coalesced record.
-        configs.append(("heap-legacy", "heap", False, "py"))
+    configs = [("heap" if k == "py" else f"heap-{k}", k) for k in kernels]
     best: dict[str, list[dict]] = {}
     for _ in range(repeat):
-        for name, scheduler, coalesce, kernel in configs:
-            rows = [
-                run_network(kind, scheduler, coalesce, kernel)
-                for kind in WORKLOAD["networks"]
-            ]
+        for name, kernel in configs:
+            rows = [run_network(kind, kernel) for kind in WORKLOAD["networks"]]
             if name not in best or sum(r["wall_s"] for r in rows) < sum(
                 r["wall_s"] for r in best[name]
             ):
                 best[name] = rows
     engines = {
-        name: _assemble_engine(scheduler, coalesce, kernel, best[name])
-        for name, scheduler, coalesce, kernel in configs
+        name: _assemble_engine(kernel, best[name]) for name, kernel in configs
     }
     # The c kernel is a differential fast path: its deterministic
     # observables must equal the py oracle's exactly — a bench run that
     # ever saw them diverge must not produce an artifact.
-    for name, eng in engines.items():
-        if eng["kernel"] == "py" or f"{eng['scheduler']}" not in engines:
-            continue
-        oracle = engines[eng["scheduler"]]
-        for field in ("events", "sched_entries", "trains", "packet_hops"):
-            if eng[field] != oracle[field]:
+    if "heap-c" in engines and "heap" in engines:
+        for field in ("events", "sched_entries", "packet_hops"):
+            fast, oracle = engines["heap-c"][field], engines["heap"][field]
+            if fast != oracle:
                 raise SystemExit(
-                    f"kernel differential FAILED: {name}.{field}="
-                    f"{eng[field]} != {eng['scheduler']}.{field}="
-                    f"{oracle[field]}"
+                    f"kernel differential FAILED: heap-c.{field}={fast} "
+                    f"!= heap.{field}={oracle}"
                 )
     heap = engines.get("heap") or next(iter(engines.values()))
     doc = {
@@ -341,7 +287,7 @@ def run_profile(top_n: int, kernels: tuple[str, ...] = ("c",)) -> None:
         profiler = cProfile.Profile()
         profiler.enable()
         for kind in WORKLOAD["networks"]:
-            run_network(kind, "heap", kernel=kernel)
+            run_network(kind, kernel=kernel)
         profiler.disable()
         stats = pstats.Stats(profiler)
         loop_self, loop_cum = _run_loop_split(stats, kernel)
@@ -359,86 +305,10 @@ def run_profile(top_n: int, kernels: tuple[str, ...] = ("c",)) -> None:
         stats.print_stats(top_n)
 
 
-# ---------------------------------------------------------- depth microbench
-
-#: Pending-event depths the scale profiles actually reach, estimated from
-#: deployment size (ports + in-flight flows scale with hosts): ci = 64
-#: hosts, default = 64 hosts at full horizon, paper = 648 hosts.
-PROFILE_DEPTH_ESTIMATE = {"ci": 512, "default": 4096, "paper": 32768}
-
-DEPTHS = (512, 4096, 32768, 262144)
-
-
-def _depth_point(scheduler: str, depth: int, ops: int) -> float:
-    """Steady-state ops/sec at ``depth`` pending events (pop one, push one).
-
-    Delays follow a deterministic LCG over the engine's real magnitudes
-    (0.5-2.5 us in integer picoseconds — packet serialization and
-    propagation steps), so bucket spread matches what the wheel sees in a
-    packet run.
-    """
-    x = 0x2545F4914F6CDD1D
-    def delay() -> int:
-        nonlocal x
-        x = (x * 6364136223846793005 + 1442695040888963407) & (2**64 - 1)
-        return 500_000 + (x >> 40) % 2_000_000
-
-    now = 0
-    seq = 0
-    if scheduler == "heap":
-        heap: list = []
-        for _ in range(depth):
-            seq += 1
-            heappush(heap, (now + delay(), seq, None, ()))
-        start = time.perf_counter()
-        for _ in range(ops):
-            now = heap[0][0]
-            heappop(heap)
-            seq += 1
-            heappush(heap, (now + delay(), seq, None, ()))
-        return ops / (time.perf_counter() - start)
-    wheel = TimingWheel()
-    for _ in range(depth):
-        seq += 1
-        wheel.push(now + delay(), seq, None, ())
-    start = time.perf_counter()
-    for _ in range(ops):
-        entry = wheel.pop()
-        now = entry[0]
-        seq += 1
-        wheel.push(now + delay(), seq, None, ())
-    return ops / (time.perf_counter() - start)
-
-
-def run_depth_bench(depths: tuple[int, ...] = DEPTHS, ops: int = 100_000) -> dict:
-    """Heap vs wheel ops/sec per pending depth + winner per scale profile."""
-    per_depth = {}
-    for depth in depths:
-        heap_ops = _depth_point("heap", depth, ops)
-        wheel_ops = _depth_point("wheel", depth, ops)
-        per_depth[str(depth)] = {
-            "heap_ops_per_sec": int(heap_ops),
-            "wheel_ops_per_sec": int(wheel_ops),
-            "winner": "heap" if heap_ops >= wheel_ops else "wheel",
-        }
-    winner_by_profile = {}
-    for profile, estimate in PROFILE_DEPTH_ESTIMATE.items():
-        nearest = min(depths, key=lambda d: abs(d - estimate))
-        winner_by_profile[profile] = per_depth[str(nearest)]["winner"]
-    return {
-        "ops_per_point": ops,
-        "per_depth": per_depth,
-        "profile_depth_estimate": PROFILE_DEPTH_ESTIMATE,
-        "winner_by_profile": winner_by_profile,
-    }
-
-
 # --------------------------------------------------------- faults overhead
 
 
-def _run_opera_faulted(
-    schedule, scheduler: str = "heap", kernel: str = "py"
-) -> dict:
+def _run_opera_faulted(schedule, kernel: str = "py") -> dict:
     """The opera leg of the workload with the failure subsystem armed.
 
     ``schedule=None`` runs uninstalled; an empty schedule arms the
@@ -446,12 +316,7 @@ def _run_opera_faulted(
     observables plus wall time, so callers can both price the seam and
     differential-check it.
     """
-    prev = {
-        key: os.environ.get(key)
-        for key in ("REPRO_SCHEDULER", "REPRO_COALESCE", "REPRO_KERNEL")
-    }
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    os.environ["REPRO_COALESCE"] = "1"
+    prev = os.environ.get("REPRO_KERNEL")
     os.environ["REPRO_KERNEL"] = kernel
     try:
         t0 = time.perf_counter()
@@ -485,11 +350,10 @@ def _run_opera_faulted(
         )
         wall = time.perf_counter() - t0
     finally:
-        for key, value in prev.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if prev is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = prev
     stats = net.stats
     return {
         "events": net.sim.events_processed,
@@ -584,17 +448,7 @@ def _run_opera_telemetry(armed: bool, kernel: str = "py"):
     from repro.experiments.fctsim import run_fct_cell
     from repro.obs.metrics import REGISTRY
 
-    prev = {
-        key: os.environ.get(key)
-        for key in (
-            "REPRO_SCHEDULER",
-            "REPRO_COALESCE",
-            "REPRO_KERNEL",
-            "REPRO_TELEMETRY",
-        )
-    }
-    os.environ["REPRO_SCHEDULER"] = "heap"
-    os.environ["REPRO_COALESCE"] = "1"
+    prev = {key: os.environ.get(key) for key in ("REPRO_KERNEL", "REPRO_TELEMETRY")}
     os.environ["REPRO_KERNEL"] = kernel
     os.environ["REPRO_TELEMETRY"] = "1" if armed else "0"
     REGISTRY.reset()
@@ -813,18 +667,6 @@ def format_rows(doc: dict) -> list[str]:
             + (", py==c snapshots" if telemetry.get("kernel_identical") else "")
             + ")"
         )
-    if "scheduler_depths" in doc:
-        for depth, point in doc["scheduler_depths"]["per_depth"].items():
-            rows.append(
-                f"depth {int(depth):7,d}: heap {point['heap_ops_per_sec']:>10,d} "
-                f"ops/s  wheel {point['wheel_ops_per_sec']:>10,d} ops/s  "
-                f"-> {point['winner']}"
-            )
-        winners = doc["scheduler_depths"]["winner_by_profile"]
-        rows.append(
-            "scheduler per profile: "
-            + "  ".join(f"{p}={w}" for p, w in winners.items())
-        )
     for scale, record in doc.get("sharded", {}).items():
         for run in record["runs"].values():
             rows.append(
@@ -856,10 +698,8 @@ def check_regression(doc: dict, committed_path: Path) -> int:
     Gates ``reference_events_per_sec`` (>2x rule: the margin absorbs
     hosted-runner hardware variance), the deterministic event-count gate
     ``events_per_hop`` (>10% rule — no wall clock involved, so
-    entry-count bloat fails crisply even on a noisy 1-core runner)
-    together with an exact train-liveness pin (coalescing shifts
-    ``events_per_hop`` by well under 10% on this dense workload, so the
-    ratio alone cannot notice train formation dying), and sharded
+    entry-count bloat fails crisply even on a noisy 1-core runner), the
+    compiled kernel's events/sec floor and speedup, and sharded
     cells/sec under the >2x rule whenever both the fresh run and the
     committed artifact carry the sharded phase.
     """
@@ -886,24 +726,6 @@ def check_regression(doc: dict, committed_path: Path) -> int:
         if fresh_eph > ceiling:
             print(
                 "perf-smoke: FAIL — >10% events-per-hop regression "
-                "(event-count gate)",
-                file=sys.stderr,
-            )
-            status = 1
-    # Coalescing saves only a fraction of a percent of entries on this
-    # dense workload, so the ratio ceiling alone cannot notice train
-    # formation silently dying; the train count is deterministic too, so
-    # pin liveness exactly.
-    committed_trains = committed["engines"]["heap"].get("trains", 0)
-    fresh_trains = doc["engines"]["heap"].get("trains", 0)
-    if committed_trains > 0:
-        print(
-            f"perf-smoke: fresh {fresh_trains:,d} trains vs committed "
-            f"{committed_trains:,d} (must stay > 0)"
-        )
-        if fresh_trains == 0:
-            print(
-                "perf-smoke: FAIL — coalescing formed no trains "
                 "(event-count gate)",
                 file=sys.stderr,
             )
@@ -980,8 +802,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed BENCH_engine.json to gate against")
     parser.add_argument("--repeat", type=int, default=1,
                         help="take the best of N runs per engine")
-    parser.add_argument("--schedulers", default="heap,wheel",
-                        help="comma-separated scheduler list")
     parser.add_argument("--kernels", default=None,
                         help="comma-separated kernel list (py, c; default "
                         "py,c, or c alone for --profile); c is skipped "
@@ -991,10 +811,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the fig07 workload under cProfile per "
                         "kernel and print the event loop's self/callback "
                         "split and the top-N cumulative functions")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the uncoalesced heap-legacy record")
-    parser.add_argument("--depths", action="store_true",
-                        help="run the heap-vs-wheel pending-depth bench")
     parser.add_argument("--faults", action="store_true",
                         help="price the dynamic failure subsystem "
                         "(armed-but-empty vs off, plus an active draw)")
@@ -1010,7 +826,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="Runner backend for --sharded runs (default: "
                         "pool when workers > 1)")
     args = parser.parse_args(argv)
-    schedulers = tuple(s for s in args.schedulers.split(",") if s)
     # Validate every --sharded spec up front: a typo must not cost the
     # minutes the main microbench takes before erroring.
     sharded_specs: list[tuple[str, tuple[int, ...]]] = []
@@ -1027,23 +842,11 @@ def main(argv: list[str] | None = None) -> int:
         run_profile(
             args.profile, tuple(k for k in (args.kernels or "c").split(",") if k)
         )
-        if (
-            args.output is None
-            and args.check is None
-            and not args.depths
-            and not sharded_specs
-        ):
+        if args.output is None and args.check is None and not sharded_specs:
             # Profiling only: skip the timed phases, nothing else asked.
             return 0
     kernels = tuple(k for k in (args.kernels or "py,c").split(",") if k)
-    doc = run_microbench(
-        schedulers,
-        repeat=args.repeat,
-        legacy=not args.no_legacy,
-        kernels=kernels,
-    )
-    if args.depths:
-        doc["scheduler_depths"] = run_depth_bench()
+    doc = run_microbench(repeat=args.repeat, kernels=kernels)
     if args.faults:
         doc["faults_overhead"] = run_faults_overhead()
     if args.telemetry:

@@ -3,8 +3,8 @@
 Each ``figXX_*`` module exposes a ``run(...)`` function returning plain
 data (rows/series) plus a ``format_rows`` helper; the ``benchmarks/``
 directory wraps them in pytest-benchmark targets that print the same
-rows/series the paper reports, and ``EXPERIMENTS.md`` records
-paper-vs-measured values.
+rows/series the paper reports. README's "Scale profiles" section maps
+each profile to the paper's configurations.
 
 Scale knobs: packet-level experiments default to reduced scale (Python is
 ~10^3x slower than htsim); set ``REPRO_SCALE=paper`` in the environment to

@@ -1,12 +1,9 @@
 """Engine-kernel seam: pure-Python oracle vs compiled fast path.
 
-PR 5's profile evidence was unambiguous: after coalescing, batched slice
-boundaries and allocation-free dispatch, the remaining per-event cost of
-the packet engine lives in the *bodies* of the hot callbacks —
-``Port.enqueue``, the serializer commit, endpoint dispatch — not in event
-structure. This package provides a compiled kernel for exactly that inner
-loop, selected with ``REPRO_KERNEL`` (mirroring ``REPRO_SCHEDULER`` /
-``REPRO_COALESCE``):
+The remaining per-event cost of the packet engine lives in the *bodies*
+of the hot callbacks — ``Port.enqueue``, the serializer commit, endpoint
+dispatch — not in event structure. This package provides a compiled
+kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 
 * ``py``   — the pure-Python engine classes, unchanged. This path is the
   differential oracle: every observable of a ``c``-kernel run must be
@@ -21,13 +18,12 @@ functions that read and write the *existing* ``__slots__`` of
 ``Simulator`` / ``Port`` / ``Packet`` / ``Host`` / ``SwitchNode`` through
 member-descriptor offsets, plus thin subclasses (:mod:`.engine`) that
 rebind only the hot methods to those C implementations. The heap is the
-same list of ``(time_ps, seq, callback, args)`` tuples, packets are the
-same free-listed ``Packet`` objects, trains are the same
-``(group, pos)`` entries. Mixing kernels is therefore safe by
-construction (a pure-Python callback scheduled on a compiled simulator
-dispatches identically), and bit-identity reduces to the C code
-replicating the Python control flow — which the differential tests pin
-per scheduler x coalesce x executor.
+same list of ``(time_ps, seq, callback, args)`` tuples, one per event,
+and packets are the same free-listed ``Packet`` objects. Mixing kernels
+is therefore safe by construction (a pure-Python callback scheduled on a
+compiled simulator dispatches identically), and bit-identity reduces to
+the C code replicating the Python control flow — which the differential
+tests pin per executor.
 
 The compiled module is built by ``setup.py`` (``pip install -e .`` or
 ``python setup.py build_ext --inplace``) from the hand-written CPython

@@ -13,9 +13,9 @@
  *
  * Every function guards its fast path with *exact* type checks against
  * the CK* classes registered by kernel/engine.py and delegates anything
- * else — wheel-scheduler simulators, non-integral line rates, subclasses,
- *  test doubles — to the stored pure-Python implementation, so semantics
- * can never diverge on paths the C code does not model.
+ * else — non-integral line rates, subclasses, test doubles — to the
+ * stored pure-Python implementation, so semantics can never diverge on
+ * paths the C code does not model.
  *
  * Heap discipline: heap_push / heap_pop transcribe heapq's exact
  * sift algorithms (append + _siftdown, pop-last + _siftup) comparing
@@ -43,8 +43,7 @@
 /* ------------------------------------------------------------------ state */
 
 typedef struct {
-    Py_ssize_t now, wheel, heap, seq, gap, coalesce, train_extra,
-        events_processed, trains_formed, train_events, train_repushes;
+    Py_ssize_t now, heap, seq, events_processed;
 } SimOffsets;
 
 typedef struct {
@@ -52,7 +51,7 @@ typedef struct {
         control_queue_bytes, bulk_queue_bytes, trimming, on_undeliverable,
         on_bulk_drop, stats, q_control, q_data, q_bulk, bytes_control,
         bytes_data, bytes_bulk, busy_until, kick_pending, ps_per_byte,
-        target, committed_control, deliver, kick_cb, undeliv_cb, burst;
+        target, committed_control, deliver, kick_cb, undeliv_cb;
 } PortOffsets;
 
 typedef struct {
@@ -109,7 +108,6 @@ static SinkOffsets NK;
 static PacerOffsets PP;
 
 /* Sentinels / enum members / shared objects (all owned references). */
-static PyObject *g_train;        /* sim._TRAIN */
 static PyObject *g_lazy;         /* link._LAZY */
 static PyObject *g_consumed;     /* node.CONSUMED */
 static PyObject *g_prio_control, *g_prio_low, *g_prio_bulk;
@@ -123,13 +121,11 @@ static PyObject *g_pool;         /* packet._POOL (the module-global list) */
 static long g_pool_max;
 static long long g_max_hops;
 static PyObject *g_header_bytes; /* packet.HEADER_BYTES int object */
-static PyObject *g_sorted;       /* builtins.sorted */
-static PyObject *g_sort_kwargs;  /* {"key": sim._T0} */
 static PyObject *g_empty;        /* () */
 
 /* Pure-Python fallbacks (unbound functions). */
-static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_at_many,
-    *g_py_sim_run, *g_py_past_error, *g_py_port_enqueue, *g_py_port_kick,
+static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_run,
+    *g_py_past_error, *g_py_port_enqueue, *g_py_port_kick,
     *g_py_host_receive, *g_py_acquire, *g_py_src_on_packet,
     *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick;
 
@@ -274,7 +270,7 @@ slot_add_ll(PyObject *o, Py_ssize_t off, const char *name, long long delta)
     return slot_set_ll(o, off, v + delta);
 }
 
-/* (time, seq) key of a heap/train entry; entries are tuples whose first
+/* (time, seq) key of a heap entry; entries are tuples whose first
  * two elements are ints. */
 static inline int
 entry_key(PyObject *e, long long *t, long long *s)
@@ -463,8 +459,7 @@ schedule_heap(PyObject *sim, long long time_ps, PyObject *cb, PyObject *args)
 static inline int
 sim_fast(PyObject *sim)
 {
-    return (Py_TYPE(sim) == t_cksim || Py_TYPE(sim) == t_sim) &&
-           SLOT(sim, S.wheel) == Py_None;
+    return Py_TYPE(sim) == t_cksim || Py_TYPE(sim) == t_sim;
 }
 
 /* ------------------------------------------------------- Simulator.at/after */
@@ -576,355 +571,7 @@ c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* ---------------------------------------------------------------- at_many */
-
-/* Build the 4-entry (t_obj, seq, cb, cargs) from a (t, cb, cargs) triple.
- * Borrows `triple`; returns new ref. */
-static PyObject *
-entry_from_triple(PyObject *triple, long long seq)
-{
-    PyObject *entry = PyTuple_New(4);
-    PyObject *seq_obj;
-    if (entry == NULL)
-        return NULL;
-    seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_INCREF(PyTuple_GET_ITEM(triple, 0));
-    PyTuple_SET_ITEM(entry, 0, PyTuple_GET_ITEM(triple, 0));
-    PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(PyTuple_GET_ITEM(triple, 1));
-    PyTuple_SET_ITEM(entry, 2, PyTuple_GET_ITEM(triple, 1));
-    Py_INCREF(PyTuple_GET_ITEM(triple, 2));
-    PyTuple_SET_ITEM(entry, 3, PyTuple_GET_ITEM(triple, 2));
-    return entry;
-}
-
-static PyObject *
-c_at_many_impl(PyObject *self, PyObject *entries)
-{
-    Py_ssize_t n, i, start;
-    long long now, seq, gap, prev, prev_t, t = 0;
-    int err = 0, coalesce, pre_sorted;
-    PyObject *heap, *block;
-    int owned;
-
-    n = PyList_GET_SIZE(entries);
-    if (n == 0)
-        Py_RETURN_NONE;
-    now = slot_ll(self, S.now, "now", &err);
-    if (err)
-        return NULL;
-    coalesce = PyObject_IsTrue(SLOT(self, S.coalesce));
-    if (coalesce < 0)
-        return NULL;
-    heap = slot_get(self, S.heap, "_heap");
-    if (heap == NULL)
-        return NULL;
-    seq = slot_ll(self, S.seq, "_seq", &err);
-    if (err)
-        return NULL;
-
-    if (!coalesce || n == 1) {
-        for (i = 0; i < n; i++) {
-            PyObject *triple = PyList_GET_ITEM(entries, i);
-            PyObject *entry;
-            long long ti = as_ll(PyTuple_GET_ITEM(triple, 0));
-            if (ti == -1 && PyErr_Occurred()) {
-                slot_set_ll(self, S.seq, seq);
-                return NULL;
-            }
-            if (ti < now) {
-                /* self._seq = seq; raise — entries already pushed stay. */
-                if (slot_set_ll(self, S.seq, seq) < 0)
-                    return NULL;
-                raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
-                                 PyTuple_GET_ITEM(triple, 1));
-                return NULL;
-            }
-            seq += 1;
-            entry = entry_from_triple(triple, seq);
-            if (entry == NULL || heap_push(heap, entry) < 0) {
-                Py_XDECREF(entry);
-                slot_set_ll(self, S.seq, seq);
-                return NULL;
-            }
-            Py_DECREF(entry);
-        }
-        if (slot_set_ll(self, S.seq, seq) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    }
-
-    /* Validation pass: past check + pre-sorted detection. */
-    prev = as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(entries, 0), 0));
-    if (prev == -1 && PyErr_Occurred())
-        return NULL;
-    if (prev < now) {
-        PyObject *triple = PyList_GET_ITEM(entries, 0);
-        raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
-                         PyTuple_GET_ITEM(triple, 1));
-        return NULL;
-    }
-    pre_sorted = 1;
-    for (i = 0; i < n; i++) {
-        PyObject *triple = PyList_GET_ITEM(entries, i);
-        long long ti = as_ll(PyTuple_GET_ITEM(triple, 0));
-        if (ti == -1 && PyErr_Occurred())
-            return NULL;
-        if (ti < now) {
-            raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
-                             PyTuple_GET_ITEM(triple, 1));
-            return NULL;
-        }
-        if (ti < prev)
-            pre_sorted = 0;
-        prev = ti;
-    }
-    if (pre_sorted) {
-        block = entries;
-        Py_INCREF(block);
-        owned = 0;
-    }
-    else {
-        PyObject *argtup = PyTuple_Pack(1, entries);
-        if (argtup == NULL)
-            return NULL;
-        block = PyObject_Call(g_sorted, argtup, g_sort_kwargs);
-        Py_DECREF(argtup);
-        if (block == NULL)
-            return NULL;
-        owned = 1;
-    }
-    gap = slot_ll(self, S.gap, "_gap", &err);
-    if (err) {
-        Py_DECREF(block);
-        return NULL;
-    }
-    start = 0;
-    prev_t =
-        as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(block, 0), 0));
-    if (prev_t == -1 && PyErr_Occurred()) {
-        Py_DECREF(block);
-        return NULL;
-    }
-    i = 1;
-    for (;;) {
-        PyObject *entry;
-        if (i < n) {
-            t = as_ll(
-                PyTuple_GET_ITEM(PyList_GET_ITEM(block, i), 0));
-            if (t == -1 && PyErr_Occurred())
-                goto fail;
-            if (t - prev_t <= gap) {
-                prev_t = t;
-                i += 1;
-                continue;
-            }
-        }
-        seq += 1;
-        if (i - start == 1) {
-            entry = entry_from_triple(PyList_GET_ITEM(block, start), seq);
-            if (entry == NULL)
-                goto fail;
-        }
-        else {
-            PyObject *group, *targs, *seq_obj, *pos_obj;
-            if (owned && start == 0 && i == n) {
-                group = block;
-                Py_INCREF(group);
-            }
-            else {
-                group = PyList_GetSlice(block, start, i);
-                if (group == NULL)
-                    goto fail;
-            }
-            if (slot_add_ll(self, S.train_extra, "_train_extra",
-                            (long long)(i - start - 1)) < 0 ||
-                slot_add_ll(self, S.trains_formed, "trains_formed", 1) < 0) {
-                Py_DECREF(group);
-                goto fail;
-            }
-            pos_obj = PyLong_FromLong(0);
-            targs = (pos_obj == NULL)
-                        ? NULL
-                        : PyTuple_Pack(2, group, pos_obj);
-            Py_XDECREF(pos_obj);
-            seq_obj = PyLong_FromLongLong(seq);
-            if (targs == NULL || seq_obj == NULL) {
-                Py_XDECREF(targs);
-                Py_XDECREF(seq_obj);
-                Py_DECREF(group);
-                goto fail;
-            }
-            entry = PyTuple_New(4);
-            if (entry == NULL) {
-                Py_DECREF(targs);
-                Py_DECREF(seq_obj);
-                Py_DECREF(group);
-                goto fail;
-            }
-            Py_INCREF(PyTuple_GET_ITEM(PyList_GET_ITEM(group, 0), 0));
-            PyTuple_SET_ITEM(
-                entry, 0, PyTuple_GET_ITEM(PyList_GET_ITEM(group, 0), 0));
-            PyTuple_SET_ITEM(entry, 1, seq_obj);
-            Py_INCREF(g_train);
-            PyTuple_SET_ITEM(entry, 2, g_train);
-            PyTuple_SET_ITEM(entry, 3, targs);
-            Py_DECREF(group);
-        }
-        if (heap_push(heap, entry) < 0) {
-            Py_DECREF(entry);
-            goto fail;
-        }
-        Py_DECREF(entry);
-        if (i == n)
-            break;
-        start = i;
-        prev_t = t;
-        i += 1;
-    }
-    Py_DECREF(block);
-    if (slot_set_ll(self, S.seq, seq) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-
-fail:
-    Py_DECREF(block);
-    slot_set_ll(self, S.seq, seq);
-    return NULL;
-}
-
-static PyObject *
-c_sim_at_many(PyObject *Py_UNUSED(mod), PyObject *const *args,
-              Py_ssize_t nargs)
-{
-    Py_ssize_t i, n;
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "at_many() takes (self, entries)");
-        return NULL;
-    }
-    if (!g_ready || !sim_fast(args[0]) || !PyList_CheckExact(args[1]))
-        return PyObject_Vectorcall(g_py_sim_at_many, args, nargs, NULL);
-    /* Malformed entries take the Python path for its exceptions. */
-    n = PyList_GET_SIZE(args[1]);
-    for (i = 0; i < n; i++) {
-        PyObject *e = PyList_GET_ITEM(args[1], i);
-        if (!PyTuple_CheckExact(e) || PyTuple_GET_SIZE(e) != 3 ||
-            !PyLong_CheckExact(PyTuple_GET_ITEM(e, 0)))
-            return PyObject_Vectorcall(g_py_sim_at_many, args, nargs, NULL);
-    }
-    return c_at_many_impl(args[0], args[1]);
-}
-
 /* -------------------------------------------------------------------- run */
-
-/* Dispatch elements of a just-popped train (mirror of _run_train).
- * `seq_obj` is the popped entry's sequence object. Returns the element
- * count, or -1 on error (exception propagates; no re-push — exactly as
- * the Python version loses the train when a callback raises). */
-static long long
-c_run_train(PyObject *self, long long seq, PyObject *seq_obj, PyObject *targs,
-            int has_until, long long until, int has_budget, long long budget,
-            PyObject *heap)
-{
-    PyObject *elements = PyTuple_GET_ITEM(targs, 0);
-    Py_ssize_t pos, n;
-    long long count = 0, t_next = 0;
-    int err = 0;
-
-    pos = (Py_ssize_t)as_ll(PyTuple_GET_ITEM(targs, 1));
-    if (pos == -1 && PyErr_Occurred())
-        return -1;
-    n = PyList_GET_SIZE(elements);
-    for (;;) {
-        PyObject *triple = PyList_GET_ITEM(elements, pos);
-        PyObject *r;
-        if (count) {
-            if (slot_add_ll(self, S.train_extra, "_train_extra", -1) < 0)
-                return -1;
-        }
-        slot_set(self, S.now, PyTuple_GET_ITEM(triple, 0));
-        r = PyObject_Call(PyTuple_GET_ITEM(triple, 1),
-                          PyTuple_GET_ITEM(triple, 2), NULL);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        pos += 1;
-        count += 1;
-        if (pos == n) {
-            if (slot_add_ll(self, S.train_events, "train_events", count) < 0)
-                return -1;
-            return count;
-        }
-        t_next = as_ll(
-            PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
-        if (t_next == -1 && PyErr_Occurred())
-            return -1;
-        if ((has_until && t_next > until) || (has_budget && count >= budget))
-            break;
-        if (PyList_GET_SIZE(heap) > 0) {
-            long long ht, hs;
-            if (entry_key(((PyListObject *)heap)->ob_item[0], &ht, &hs) < 0)
-                return -1;
-            if (ht < t_next || (ht == t_next && hs < seq))
-                break;
-        }
-    }
-    /* Preempted or cut: remainder rides the original entry again. */
-    if (slot_add_ll(self, S.train_extra, "_train_extra", -1) < 0 ||
-        slot_add_ll(self, S.train_events, "train_events", count) < 0 ||
-        slot_add_ll(self, S.train_repushes, "train_repushes", 1) < 0)
-        return -1;
-    {
-        PyObject *entry;
-        if (pos == n - 1) {
-            PyObject *triple = PyList_GET_ITEM(elements, pos);
-            entry = PyTuple_New(4);
-            if (entry == NULL)
-                return -1;
-            Py_INCREF(PyTuple_GET_ITEM(triple, 0));
-            PyTuple_SET_ITEM(entry, 0, PyTuple_GET_ITEM(triple, 0));
-            Py_INCREF(seq_obj);
-            PyTuple_SET_ITEM(entry, 1, seq_obj);
-            Py_INCREF(PyTuple_GET_ITEM(triple, 1));
-            PyTuple_SET_ITEM(entry, 2, PyTuple_GET_ITEM(triple, 1));
-            Py_INCREF(PyTuple_GET_ITEM(triple, 2));
-            PyTuple_SET_ITEM(entry, 3, PyTuple_GET_ITEM(triple, 2));
-        }
-        else {
-            PyObject *pos_obj = PyLong_FromSsize_t(pos);
-            PyObject *new_targs;
-            if (pos_obj == NULL)
-                return -1;
-            new_targs = PyTuple_Pack(2, elements, pos_obj);
-            Py_DECREF(pos_obj);
-            if (new_targs == NULL)
-                return -1;
-            entry = PyTuple_New(4);
-            if (entry == NULL) {
-                Py_DECREF(new_targs);
-                return -1;
-            }
-            Py_INCREF(PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
-            PyTuple_SET_ITEM(
-                entry, 0,
-                PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
-            Py_INCREF(seq_obj);
-            PyTuple_SET_ITEM(entry, 1, seq_obj);
-            Py_INCREF(g_train);
-            PyTuple_SET_ITEM(entry, 2, g_train);
-            PyTuple_SET_ITEM(entry, 3, new_targs);
-        }
-        err = heap_push(heap, entry);
-        Py_DECREF(entry);
-        if (err < 0)
-            return -1;
-    }
-    return count;
-}
 
 static PyObject *
 c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
@@ -970,17 +617,6 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
         if (entry == NULL)
             return NULL;
         cb = PyTuple_GET_ITEM(entry, 2);
-        if (cb == g_train) {
-            long long c = c_run_train(
-                self, s0, PyTuple_GET_ITEM(entry, 1),
-                PyTuple_GET_ITEM(entry, 3), has_until, until, has_max,
-                has_max ? maxev - processed : 0, heap);
-            Py_DECREF(entry);
-            if (c < 0)
-                return NULL;
-            processed += c;
-            continue;
-        }
         slot_set(self, S.now, PyTuple_GET_ITEM(entry, 0));
         r = PyObject_Call(cb, PyTuple_GET_ITEM(entry, 3), NULL);
         Py_DECREF(entry);
@@ -1166,13 +802,10 @@ resolve_deliver(PyObject *self, PyObject *packet, long long start,
     return 0;
 }
 
-/* Put `packet` on the wire at start_ps (mirror of _transmit). With `out`
- * non-NULL the delivery entry is appended to it (burst commit); returns
- * the line-free time or -1 on error. Caller guarantees _ps_per_byte > 0
- * and a heap simulator. */
+/* Put `packet` on the wire at start_ps (mirror of _transmit); returns the
+ * line-free time or -1 on error. Caller guarantees _ps_per_byte > 0. */
 static long long
-c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
-           PyObject *out)
+c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
 {
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
@@ -1198,35 +831,16 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
     if (deliver == NULL) {
         /* Dark circuit: loss observed when the last bit leaves. */
         PyObject *undeliv = slot_get(self, P.undeliv_cb, "_undeliv_cb");
+        PyObject *cargs;
         if (undeliv == NULL)
             return -1;
-        if (out != NULL) {
-            PyObject *recv_args =
-                slot_get(packet, K.recv_args, "recv_args");
-            PyObject *done_obj, *e;
-            if (recv_args == NULL)
-                return -1;
-            done_obj = PyLong_FromLongLong(done);
-            if (done_obj == NULL)
-                return -1;
-            e = PyTuple_Pack(3, done_obj, undeliv, recv_args);
-            Py_DECREF(done_obj);
-            if (e == NULL)
-                return -1;
-            err = PyList_Append(out, e);
-            Py_DECREF(e);
-            if (err < 0)
-                return -1;
-        }
-        else {
-            PyObject *cargs = PyTuple_Pack(1, packet);
-            if (cargs == NULL)
-                return -1;
-            err = schedule_heap(sim, done, undeliv, cargs);
-            Py_DECREF(cargs);
-            if (err < 0)
-                return -1;
-        }
+        cargs = PyTuple_Pack(1, packet);
+        if (cargs == NULL)
+            return -1;
+        err = schedule_heap(sim, done, undeliv, cargs);
+        Py_DECREF(cargs);
+        if (err < 0)
+            return -1;
         return done;
     }
     prop = slot_ll(self, P.propagation_ps, "propagation_ps", &err);
@@ -1240,29 +854,10 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
             Py_DECREF(deliver);
             return -1;
         }
-        if (out != NULL) {
-            PyObject *t_obj = PyLong_FromLongLong(done + prop);
-            PyObject *e;
-            if (t_obj == NULL) {
-                Py_DECREF(deliver);
-                return -1;
-            }
-            e = PyTuple_Pack(3, t_obj, deliver, recv_args);
-            Py_DECREF(t_obj);
-            Py_DECREF(deliver);
-            if (e == NULL)
-                return -1;
-            err = PyList_Append(out, e);
-            Py_DECREF(e);
-            if (err < 0)
-                return -1;
-        }
-        else {
-            err = schedule_heap(sim, done + prop, deliver, recv_args);
-            Py_DECREF(deliver);
-            if (err < 0)
-                return -1;
-        }
+        err = schedule_heap(sim, done + prop, deliver, recv_args);
+        Py_DECREF(deliver);
+        if (err < 0)
+            return -1;
     }
     return done;
 }
@@ -1530,102 +1125,6 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
             slot_get(self, P.committed_control, "_committed_control");
         if (committed == NULL)
             return NULL;
-        if (qlen > 1) {
-            /* Packet train: commit the whole burst back-to-back and
-             * bulk-schedule its deliveries with one at_many call. */
-            PyObject *burst = slot_get(self, P.burst, "_burst");
-            int first = 1;
-            long long dlen, blen;
-            if (burst == NULL)
-                return NULL;
-            for (;;) {
-                Py_ssize_t left = PyObject_Length(q);
-                if (left < 0)
-                    return NULL;
-                if (left == 0)
-                    break;
-                packet = PyObject_CallMethodNoArgs(q, s_popleft);
-                if (packet == NULL)
-                    return NULL;
-                size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-                if (err) {
-                    Py_DECREF(packet);
-                    return NULL;
-                }
-                if (first) {
-                    /* On the wire right now: out of the queue at once. */
-                    if (slot_add_ll(self, P.bytes_control, "_bytes_control",
-                                    -size) < 0) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    first = 0;
-                }
-                else {
-                    /* Committed but not started: bytes stay in the
-                     * admission ledger until the wire-entry time. */
-                    PyObject *start_obj = PyLong_FromLongLong(start);
-                    PyObject *pair, *r;
-                    if (start_obj == NULL) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    pair = PyTuple_Pack(2, start_obj,
-                                        SLOT(packet, K.size_bytes));
-                    Py_DECREF(start_obj);
-                    if (pair == NULL) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    r = PyObject_CallMethodOneArg(committed, s_append, pair);
-                    Py_DECREF(pair);
-                    if (r == NULL) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    Py_DECREF(r);
-                }
-                start = c_transmit(self, sim, packet, start, burst);
-                Py_DECREF(packet);
-                if (start < 0 && PyErr_Occurred())
-                    return NULL;
-            }
-            dlen = PyObject_Length(slot_get(self, P.q_data, "_q_data"));
-            blen = PyObject_Length(slot_get(self, P.q_bulk, "_q_bulk"));
-            if (dlen < 0 || blen < 0)
-                return NULL;
-            if (dlen > 0 || blen > 0) {
-                long long busy =
-                    slot_ll(self, P.busy_until, "_busy_until", &err);
-                PyObject *busy_obj, *kick_cb, *e;
-                if (err)
-                    return NULL;
-                slot_set(self, P.kick_pending, Py_True);
-                kick_cb = slot_get(self, P.kick_cb, "_kick_cb");
-                if (kick_cb == NULL)
-                    return NULL;
-                busy_obj = PyLong_FromLongLong(busy);
-                if (busy_obj == NULL)
-                    return NULL;
-                e = PyTuple_Pack(3, busy_obj, kick_cb, g_empty);
-                Py_DECREF(busy_obj);
-                if (e == NULL)
-                    return NULL;
-                err = PyList_Append(burst, e);
-                Py_DECREF(e);
-                if (err < 0)
-                    return NULL;
-            }
-            {
-                PyObject *r = c_at_many_impl(sim, burst);
-                if (r == NULL)
-                    return NULL;
-                Py_DECREF(r);
-            }
-            if (PyList_SetSlice(burst, 0, PyList_GET_SIZE(burst), NULL) < 0)
-                return NULL;
-            Py_RETURN_NONE;
-        }
         packet = PyObject_CallMethodNoArgs(q, s_popleft);
         if (packet == NULL)
             return NULL;
@@ -1635,10 +1134,44 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
             Py_DECREF(packet);
             return NULL;
         }
-        start = c_transmit(self, sim, packet, start, NULL);
-        Py_DECREF(packet);
-        if (start < 0 && PyErr_Occurred())
-            return NULL;
+        for (;;) {
+            Py_ssize_t left;
+            start = c_transmit(self, sim, packet, start);
+            Py_DECREF(packet);
+            if (start < 0 && PyErr_Occurred())
+                return NULL;
+            left = PyObject_Length(q);
+            if (left < 0)
+                return NULL;
+            if (left == 0)
+                break;
+            packet = PyObject_CallMethodNoArgs(q, s_popleft);
+            if (packet == NULL)
+                return NULL;
+            /* Committed but not started: bytes stay in the admission
+             * ledger until the wire-entry time. */
+            {
+                PyObject *start_obj = PyLong_FromLongLong(start);
+                PyObject *pair, *r;
+                if (start_obj == NULL) {
+                    Py_DECREF(packet);
+                    return NULL;
+                }
+                pair = PyTuple_Pack(2, start_obj, SLOT(packet, K.size_bytes));
+                Py_DECREF(start_obj);
+                if (pair == NULL) {
+                    Py_DECREF(packet);
+                    return NULL;
+                }
+                r = PyObject_CallMethodOneArg(committed, s_append, pair);
+                Py_DECREF(pair);
+                if (r == NULL) {
+                    Py_DECREF(packet);
+                    return NULL;
+                }
+                Py_DECREF(r);
+            }
+        }
     }
     else {
         PyObject *qd = slot_get(self, P.q_data, "_q_data");
@@ -1658,7 +1191,7 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                 Py_DECREF(packet);
                 return NULL;
             }
-            start = c_transmit(self, sim, packet, start, NULL);
+            start = c_transmit(self, sim, packet, start);
             Py_DECREF(packet);
             if (start < 0 && PyErr_Occurred())
                 return NULL;
@@ -1682,7 +1215,7 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                 Py_DECREF(packet);
                 return NULL;
             }
-            start = c_transmit(self, sim, packet, start, NULL);
+            start = c_transmit(self, sim, packet, start);
             Py_DECREF(packet);
             if (start < 0 && PyErr_Occurred())
                 return NULL;
@@ -2687,16 +2220,9 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     t_sim = (PyTypeObject *)cls;
     Py_INCREF(cls);
     OFF(cls, "now", S.now);
-    OFF(cls, "_wheel", S.wheel);
     OFF(cls, "_heap", S.heap);
     OFF(cls, "_seq", S.seq);
-    OFF(cls, "_gap", S.gap);
-    OFF(cls, "coalesce", S.coalesce);
-    OFF(cls, "_train_extra", S.train_extra);
     OFF(cls, "events_processed", S.events_processed);
-    OFF(cls, "trains_formed", S.trains_formed);
-    OFF(cls, "train_events", S.train_events);
-    OFF(cls, "train_repushes", S.train_repushes);
 
     /* Port offsets */
     CFG_OBJ(tmp, "Port");
@@ -2728,7 +2254,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "_deliver", P.deliver);
     OFF(cls, "_kick_cb", P.kick_cb);
     OFF(cls, "_undeliv_cb", P.undeliv_cb);
-    OFF(cls, "_burst", P.burst);
 
     /* Packet offsets */
     CFG_OBJ(tmp, "Packet");
@@ -2850,7 +2375,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "_running", PP.running);
     OFF(cls, "_tick_cb", PP.tick_cb);
 
-    CFG_OBJ(g_train, "TRAIN");
     CFG_OBJ(g_lazy, "LAZY");
     CFG_OBJ(g_consumed, "CONSUMED");
     CFG_OBJ(g_prio_control, "PRIO_CONTROL");
@@ -2884,7 +2408,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
         return NULL;
     CFG_OBJ(g_py_sim_at, "py_at");
     CFG_OBJ(g_py_sim_after, "py_after");
-    CFG_OBJ(g_py_sim_at_many, "py_at_many");
     CFG_OBJ(g_py_sim_run, "py_run");
     CFG_OBJ(g_py_past_error, "py_past_error");
     CFG_OBJ(g_py_port_enqueue, "py_enqueue");
@@ -2895,12 +2418,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     CFG_OBJ(g_py_sink_on_packet, "py_sink_on_packet");
     CFG_OBJ(g_py_emit_pull, "py_emit_pull");
     CFG_OBJ(g_py_pacer_tick, "py_pacer_tick");
-    CFG_OBJ(tmp, "SORT_KEY");
-    Py_XDECREF(g_sort_kwargs);
-    g_sort_kwargs = PyDict_New();
-    if (g_sort_kwargs == NULL ||
-        PyDict_SetItemString(g_sort_kwargs, "key", tmp) < 0)
-        return NULL;
     Py_CLEAR(tmp);
     if (PyErr_Occurred())
         return NULL;
@@ -2955,8 +2472,6 @@ static PyMethodDef m_at = {"at", (PyCFunction)c_sim_at, METH_FASTCALL,
                            "Compiled Simulator.at."};
 static PyMethodDef m_after = {"after", (PyCFunction)c_sim_after,
                               METH_FASTCALL, "Compiled Simulator.after."};
-static PyMethodDef m_at_many = {"at_many", (PyCFunction)c_sim_at_many,
-                                METH_FASTCALL, "Compiled Simulator.at_many."};
 static PyMethodDef m_run = {"run", (PyCFunction)c_sim_run,
                             METH_VARARGS | METH_KEYWORDS,
                             "Compiled Simulator.run."};
@@ -3019,7 +2534,7 @@ static struct PyModuleDef ckernel_module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    PyObject *m, *builtins;
+    PyObject *m;
 
     m = PyModule_Create(&ckernel_module);
     if (m == NULL)
@@ -3064,13 +2579,8 @@ PyInit__ckernel(void)
     if (g_empty == NULL || g_src_salt == NULL || g_zero == NULL ||
         g_one == NULL)
         goto fail;
-    builtins = PyEval_GetBuiltins(); /* borrowed */
-    g_sorted = PyMapping_GetItemString(builtins, "sorted");
-    if (g_sorted == NULL)
-        goto fail;
     if (add_instancemethod(m, &m_at, NULL) < 0 ||
         add_instancemethod(m, &m_after, NULL) < 0 ||
-        add_instancemethod(m, &m_at_many, NULL) < 0 ||
         add_instancemethod(m, &m_run, NULL) < 0 ||
         add_instancemethod(m, &m_enqueue, &g_cf_enqueue) < 0 ||
         add_instancemethod(m, &m_kick, NULL) < 0 ||

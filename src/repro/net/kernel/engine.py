@@ -10,13 +10,12 @@ base classes' ``__slots__`` through member-descriptor offsets captured by
 ``_ckernel.init`` below. Everything else (construction, cold paths,
 introspection, repr) is inherited from the pure-Python classes, and the
 C functions themselves delegate any call they cannot prove is on the
-fast path (wheel scheduler, non-integral line rate, subclasses, test
-doubles) back to the pure-Python implementations passed to ``init``.
+fast path (non-integral line rate, subclasses, test doubles) back to the
+pure-Python implementations passed to ``init``.
 """
 
 from __future__ import annotations
 
-from .. import sim as _sim_mod
 from ..link import _LAZY, CircuitTable, Port, PortStats
 from ..ndp import NdpSink, NdpSource, PullPacer
 from ..node import CONSUMED, MAX_HOPS, ForwardingTable, Host, SwitchNode
@@ -53,7 +52,6 @@ _ckernel.init(
         "CircuitTable": CircuitTable,
         "circuit_resolve": CircuitTable.resolve,
         "PortStats": PortStats,
-        "TRAIN": _sim_mod._TRAIN,
         "LAZY": _LAZY,
         "CONSUMED": CONSUMED,
         "PRIO_CONTROL": Priority.CONTROL,
@@ -71,10 +69,8 @@ _ckernel.init(
         "POOL_MAX": _POOL_MAX,
         "MAX_HOPS": MAX_HOPS,
         "HEADER_BYTES": HEADER_BYTES,
-        "SORT_KEY": _sim_mod._T0,
         "py_at": Simulator.at,
         "py_after": Simulator.after,
-        "py_at_many": Simulator.at_many,
         "py_run": Simulator.run,
         "py_past_error": Simulator._past_error,
         "py_enqueue": Port.enqueue,
@@ -96,7 +92,6 @@ class CKSimulator(Simulator):
 
     at = _ckernel.at
     after = _ckernel.after
-    at_many = _ckernel.at_many
     run = _ckernel.run
 
 

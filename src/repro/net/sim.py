@@ -1,109 +1,24 @@
 """Discrete-event simulation engine (the htsim substitute's core).
 
-Events are ``(time_ps, sequence, callback, args)`` entries dispatched in
+Events are ``(time_ps, sequence, callback, args)`` entries on one binary
+heap (C-implemented ``heapq``), one entry per event, dispatched in
 ``(time_ps, sequence)`` order. Time is integer picoseconds throughout —
-1500 B at 10 Gb/s serializes in exactly 1,200,000 ps — so event ordering is
-exact and runs are bit-for-bit reproducible. Ties break by scheduling
-order.
+1500 B at 10 Gb/s serializes in exactly 1,200,000 ps — so event ordering
+is exact and runs are bit-for-bit reproducible. Sequence numbers are
+allocated in scheduling order, so ties break first-scheduled,
+first-dispatched.
 
-Two interchangeable schedulers back the engine:
-
-* ``"heap"`` (default) — a single binary heap (C-implemented ``heapq``);
-* ``"wheel"`` — a :class:`~repro.net.wheel.TimingWheel` calendar queue with
-  lazily-sorted FIFO buckets, O(1) insertion independent of the pending
-  count.
-
-Both produce bit-identical event order (``tests/test_schedulers.py`` runs
-full packet workloads under each and compares every observable);
-``benchmarks/engine_microbench.py`` measures their relative throughput.
-Select per instance with ``Simulator(scheduler="wheel")`` or process-wide
-with ``REPRO_SCHEDULER=wheel`` in the environment.
-
-Event coalescing (packet trains)
---------------------------------
-
-:meth:`Simulator.at_many` bulk-schedules a list of preconstructed
-``(time_ps, callback, args)`` triples. With coalescing enabled (the
-default; ``Simulator(coalesce=False)`` or ``REPRO_COALESCE=0`` disables),
-runs of entries closer together than the coalescing gap are packed into a
-single **train** entry in the scheduler instead of one entry each — the
-serializer committing N back-to-back control packets schedules one
-train-completion entry that delivers all N. When a train is popped its
-elements dispatch from a tight inner loop, one ``self.now`` step per
-element, until the train drains, the horizon or event budget cuts it, or
-a pending entry *preempts* it (would dispatch before the next element
-under the global ``(time, seq)`` order); a cut train is pushed back once
-with its remaining elements.
-
-Why this is invisible to the simulation (the coalescing invariant): the
-entries of one ``at_many`` call occupy a *contiguous block* of sequence
-numbers — the run loop is single-threaded, so nothing can interleave with
-the block. Dispatch order is ``(time, seq)``; replacing a sub-block with
-one train entry whose sequence number stands for the block preserves that
-order exactly, because (a) within the block, elements dispatch in
-(time, list-position) order — the stable sort in ``at_many`` makes that
-identical to (time, seq) — and (b) every other entry's sequence number
-lies entirely before or after the block, so each tie against a train
-element resolves exactly as it would against the element's own sequence
-number. The preemption check enforces (b) at dispatch time. Timestamps,
-dispatch order, flow observables, ``events_processed`` and ``pending``
-are all bit-identical to the uncoalesced path
-(``tests/test_coalescing.py`` pins this differentially, per scheduler).
-
-The gap threshold exists because a train only pays for itself when its
-elements end up adjacent in the *global* dispatch order: with hundreds of
-ports the event stream is dense, and elements separated by a propagation
-delay almost always get preempted (the re-push then cancels the saving).
-Back-to-back serializations — 51.2 ns per 64 B header at 10 Gb/s — are
-the dense case worth coalescing; that is what the default gap captures.
-
-``sched_pushes`` counts real scheduler insertions — the cost metric
-``events_per_hop`` in ``BENCH_engine.json`` tracks — while
-``events_processed`` keeps counting dispatched callbacks, identically
-with coalescing on or off.
+``sched_pushes`` counts heap insertions — the cost metric
+``events_per_hop`` in ``BENCH_engine.json`` tracks. With one entry per
+event it always equals ``events_processed + pending``.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Any, Callable
 
-from .wheel import TimingWheel
-
-__all__ = ["Simulator", "SCHEDULERS", "coalescing_default"]
-
-#: Recognised scheduler names.
-SCHEDULERS = ("heap", "wheel")
-
-#: Sentinel callback marking a train entry; its ``args`` slot holds
-#: ``(elements, pos)`` — a time-sorted list of ``(time_ps, callback,
-#: args)`` triples and the index of the next element to dispatch.
-_TRAIN = object()
-
-_T0 = itemgetter(0)
-
-#: Maximum gap between consecutive train elements, in ps: back-to-back
-#: control-burst deliveries (51.2 ns apart) and same-timestamp groups
-#: coalesce; entries separated by a propagation delay or more are pushed
-#: singly. Override with ``REPRO_COALESCE_GAP_PS`` (0 = only exact ties
-#: ride together; very large = coalesce whole bulk calls regardless of
-#: spread).
-DEFAULT_COALESCE_GAP_PS = 131_072
-
-
-def coalescing_default() -> bool:
-    """Process-wide coalescing default: ``REPRO_COALESCE=0`` disables."""
-    return os.environ.get("REPRO_COALESCE", "") not in ("0", "false", "off")
-
-
-def coalescing_gap_default() -> int:
-    """Train gap-split threshold: ``REPRO_COALESCE_GAP_PS`` overrides."""
-    raw = os.environ.get("REPRO_COALESCE_GAP_PS", "")
-    if raw:
-        return int(raw)
-    return DEFAULT_COALESCE_GAP_PS
+__all__ = ["Simulator"]
 
 
 def _callback_name(callback: Callable[..., None]) -> str:
@@ -114,67 +29,31 @@ def _callback_name(callback: Callable[..., None]) -> str:
 
 
 class Simulator:
-    """Minimal deterministic event loop with a pluggable scheduler."""
+    """Minimal deterministic event loop on a single binary heap."""
 
-    __slots__ = (
-        "now",
-        "scheduler",
-        "coalesce",
-        "_heap",
-        "_wheel",
-        "_seq",
-        "_gap",
-        "_train_extra",
-        "events_processed",
-        "trains_formed",
-        "train_events",
-        "train_repushes",
-    )
+    __slots__ = ("now", "_heap", "_seq", "events_processed")
 
-    def __init__(
-        self,
-        scheduler: str | None = None,
-        coalesce: bool | None = None,
-        coalesce_gap_ps: int | None = None,
-    ) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "") or "heap"
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {', '.join(SCHEDULERS)}"
-            )
-        if coalesce is None:
-            coalesce = coalescing_default()
+    #: The only scheduler; the benchmark's shipping check reads it.
+    scheduler = "heap"
+    #: Events are never coalesced; the benchmark's shipping check reads it.
+    coalesce = False
+
+    def __init__(self) -> None:
         self.now: int = 0
-        self.scheduler = scheduler
-        self.coalesce = bool(coalesce)
         self._heap: list[tuple[int, int, Callable[..., None], tuple[Any, ...]]] = []
-        self._wheel: TimingWheel | None = (
-            TimingWheel() if scheduler == "wheel" else None
-        )
         self._seq = 0
-        self._gap = (
-            coalescing_gap_default() if coalesce_gap_ps is None else coalesce_gap_ps
-        )
-        # Pending train elements beyond each pending train entry's head
-        # (keeps `pending` counting deliverable events, not entries).
-        self._train_extra = 0
-        #: Callbacks dispatched — identical with coalescing on or off.
+        #: Callbacks dispatched.
         self.events_processed = 0
-        self.trains_formed = 0
-        self.train_events = 0
-        self.train_repushes = 0
 
     @property
     def sched_pushes(self) -> int:
-        """Scheduler insertions performed — the per-event-cost metric.
+        """Heap insertions performed: one per sequence number allocated."""
+        return self._seq
 
-        Every sequence number allocated corresponds to exactly one pushed
-        entry (a single event or a whole train); a preempted train is
-        pushed again under its original number, so re-pushes are added on
-        top. Derived, so the hot paths pay nothing to keep it.
-        """
-        return self._seq + self.train_repushes
+    @property
+    def pending(self) -> int:
+        """Events scheduled but not yet dispatched."""
+        return len(self._heap)
 
     def counters(self) -> dict[str, int]:
         """Engine counters as plain data, for the telemetry drain.
@@ -188,9 +67,6 @@ class Simulator:
         return {
             "events": self.events_processed,
             "sched_entries": self.sched_pushes,
-            "trains": self.trains_formed,
-            "train_events": self.train_events,
-            "train_repushes": self.train_repushes,
             "pending": self.pending,
         }
 
@@ -199,7 +75,7 @@ class Simulator:
     def _past_error(self, time_ps: int, callback: Callable[..., None]) -> ValueError:
         return ValueError(
             f"cannot schedule {_callback_name(callback)} in the past "
-            f"({time_ps} < now={self.now}; scheduler={self.scheduler!r})"
+            f"({time_ps} < now={self.now})"
         )
 
     def at(self, time_ps: int, callback: Callable[..., None], *args: Any) -> None:
@@ -207,10 +83,7 @@ class Simulator:
         if time_ps < self.now:
             raise self._past_error(time_ps, callback)
         self._seq = seq = self._seq + 1
-        if self._wheel is None:
-            heappush(self._heap, (time_ps, seq, callback, args))
-        else:
-            self._wheel.push(time_ps, seq, callback, args)
+        heappush(self._heap, (time_ps, seq, callback, args))
 
     def after(self, delay_ps: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` after ``delay_ps``."""
@@ -218,185 +91,9 @@ class Simulator:
         if time_ps < self.now:
             raise self._past_error(time_ps, callback)
         self._seq = seq = self._seq + 1
-        if self._wheel is None:
-            heappush(self._heap, (time_ps, seq, callback, args))
-        else:
-            self._wheel.push(time_ps, seq, callback, args)
-
-    def at_many(
-        self,
-        entries: "list[tuple[int, Callable[..., None], tuple[Any, ...]]]",
-    ) -> None:
-        """Bulk-schedule preconstructed ``(time_ps, callback, args)`` triples.
-
-        The zero-allocation dispatch path for hot callers: the caller
-        builds (and may reuse) the triples and the list itself — nothing
-        is re-packed per event here, and the engine copies what it keeps.
-        Ties dispatch in list order, exactly as the equivalent sequence
-        of :meth:`at` calls would. With coalescing enabled, runs of
-        entries no further apart than the coalescing gap are packed into
-        single train entries (see the module docstring); with it disabled
-        this is exactly a loop of :meth:`at`.
-        """
-        n = len(entries)
-        if n == 0:
-            return
-        now = self.now
-        wheel = self._wheel
-        if not self.coalesce or n == 1:
-            if wheel is None:
-                heap = self._heap
-                seq = self._seq
-                for entry in entries:
-                    if entry[0] < now:
-                        self._seq = seq
-                        raise self._past_error(entry[0], entry[1])
-                    seq += 1
-                    heappush(heap, (entry[0], seq, entry[1], entry[2]))
-                self._seq = seq
-            else:
-                seq = self._seq
-                stamped = []
-                for entry in entries:
-                    if entry[0] < now:
-                        raise self._past_error(entry[0], entry[1])
-                    seq += 1
-                    stamped.append((entry[0], seq, entry[1], entry[2]))
-                wheel.push_many(stamped)
-                self._seq = seq
-            return
-        # One pass validates and detects pre-sorted input (bursts mostly
-        # are); only unsorted blocks pay for the stable sort.
-        prev = entries[0][0]
-        if prev < now:
-            raise self._past_error(prev, entries[0][1])
-        pre_sorted = True
-        for entry in entries:
-            t = entry[0]
-            if t < now:
-                raise self._past_error(t, entry[1])
-            if t < prev:
-                pre_sorted = False
-            prev = t
-        if pre_sorted:
-            block = entries  # caller-owned; groups are sliced out below
-            owned = False
-        else:
-            block = sorted(entries, key=_T0)  # stable: ties keep list order
-            owned = True
-        gap = self._gap
-        heap = self._heap
-        seq = self._seq
-        start = 0
-        prev_t = block[0][0]
-        i = 1
-        while True:
-            if i < n:
-                t = block[i][0]
-                if t - prev_t <= gap:
-                    prev_t = t
-                    i += 1
-                    continue
-            seq += 1
-            if i - start == 1:
-                time_ps, callback, args = block[start]
-                entry = (time_ps, seq, callback, args)
-            else:
-                if owned and (start, i) == (0, n):
-                    group = block  # the sort already copied it
-                else:
-                    group = block[start:i]
-                self._train_extra += i - start - 1
-                self.trains_formed += 1
-                entry = (group[0][0], seq, _TRAIN, (group, 0))
-            if wheel is None:
-                heappush(heap, entry)
-            else:
-                wheel.push(entry[0], entry[1], entry[2], entry[3])
-            if i == n:
-                break
-            start = i
-            prev_t = t
-            i += 1
-        self._seq = seq
+        heappush(self._heap, (time_ps, seq, callback, args))
 
     # ------------------------------------------------------------------- run
-
-    def _run_train(
-        self,
-        seq: int,
-        train: tuple,
-        until_ps: int | None,
-        budget: int | None,
-    ) -> int:
-        """Dispatch elements of a just-popped train; returns the count run.
-
-        Runs elements in time order until the train drains, the horizon or
-        ``budget`` (remaining ``max_events``) cuts it, or a pending entry
-        preempts it — i.e. would dispatch before the next element under
-        the global ``(time, seq)`` order. On a cut, the remainder is
-        re-pushed once under the train's original sequence number, which
-        preserves every tie-break exactly (see the module docstring).
-        """
-        elements, pos = train
-        n = len(elements)
-        heap = self._heap
-        wheel = self._wheel
-        count = 0
-        while True:
-            time_ps, callback, args = elements[pos]
-            if count:
-                # Settle the accounting per element, not per stint: the
-                # popped entry already stopped counting (like any popped
-                # event), and each further element leaves the "extra"
-                # ledger as it dispatches — so a callback reading
-                # `pending` mid-train sees exactly the uncoalesced count.
-                self._train_extra -= 1
-            self.now = time_ps
-            callback(*args)
-            pos += 1
-            count += 1
-            if pos == n:
-                self.train_events += count
-                return count
-            t_next = elements[pos][0]
-            if (until_ps is not None and t_next > until_ps) or (
-                budget is not None and count >= budget
-            ):
-                break
-            if wheel is None:
-                if heap:
-                    head = heap[0]
-                    if head[0] < t_next or (head[0] == t_next and head[1] < seq):
-                        break
-            else:
-                head = wheel.peek()
-                if head is not None and (
-                    head[0] < t_next or (head[0] == t_next and head[1] < seq)
-                ):
-                    break
-        # Preempted or cut: the remainder rides the original entry again.
-        # A single remaining element is downgraded to a plain entry — the
-        # common case for short bursts, sparing the next pop the train
-        # bookkeeping. (Same sequence number either way, so ordering is
-        # untouched. Ledger: the per-element settlements above left
-        # `remaining` on the books; the re-pushed entry accounts for
-        # `remaining - 1` as a train or 0 as a single plain entry, and
-        # its scheduler presence covers the difference — one more
-        # settlement either way.)
-        self._train_extra -= 1
-        self.train_events += count
-        self.train_repushes += 1
-        if pos == n - 1:
-            time_ps, callback, args = elements[pos]
-            entry = (time_ps, seq, callback, args)
-        else:
-            entry = (elements[pos][0], seq, _TRAIN, (elements, pos))
-        if wheel is None:
-            heappush(heap, entry)
-        else:
-            wheel.push(entry[0], entry[1], entry[2], entry[3])
-        return count
 
     def run(
         self, until_ps: int | None = None, max_events: int | None = None
@@ -422,67 +119,28 @@ class Simulator:
           very last pending event: ``now`` still does not advance, because
           the run cannot know the queue is quiet through ``until_ps``
           without spending another event's worth of budget to look.
-          Both hold identically under both schedulers and with coalescing
-          on or off (a budget can expire mid-train; the remainder resumes
-          on the next call).
         """
         processed = 0
-        wheel = self._wheel
-        if wheel is None:
-            heap = self._heap
-            if max_events is None and until_ps is not None:
-                # Hot path: drain to a horizon with no event budget.
-                pop = heappop
-                while heap and heap[0][0] <= until_ps:
-                    time_ps, seq, callback, args = pop(heap)
-                    if callback is _TRAIN:
-                        processed += self._run_train(seq, args, until_ps, None)
-                        continue
-                    self.now = time_ps
-                    callback(*args)
-                    processed += 1
-            else:
-                while heap:
-                    if until_ps is not None and heap[0][0] > until_ps:
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    time_ps, seq, callback, args = heappop(heap)
-                    if callback is _TRAIN:
-                        processed += self._run_train(
-                            seq,
-                            args,
-                            until_ps,
-                            None if max_events is None else max_events - processed,
-                        )
-                        continue
-                    self.now = time_ps
-                    callback(*args)
-                    processed += 1
-            quiet = not heap or (until_ps is not None and heap[0][0] > until_ps)
-        else:
-            while True:
-                head = wheel.peek_time()
-                if head is None:
-                    break
-                if until_ps is not None and head > until_ps:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                time_ps, seq, callback, args = wheel.pop()
-                if callback is _TRAIN:
-                    processed += self._run_train(
-                        seq,
-                        args,
-                        until_ps,
-                        None if max_events is None else max_events - processed,
-                    )
-                    continue
+        heap = self._heap
+        if max_events is None and until_ps is not None:
+            # Hot path: drain to a horizon with no event budget.
+            pop = heappop
+            while heap and heap[0][0] <= until_ps:
+                time_ps, _seq, callback, args = pop(heap)
                 self.now = time_ps
                 callback(*args)
                 processed += 1
-            head = wheel.peek_time()
-            quiet = head is None or (until_ps is not None and head > until_ps)
+        else:
+            while heap:
+                if until_ps is not None and heap[0][0] > until_ps:
+                    break
+                if max_events is not None and processed >= max_events:
+                    break
+                time_ps, _seq, callback, args = heappop(heap)
+                self.now = time_ps
+                callback(*args)
+                processed += 1
+        quiet = not heap or (until_ps is not None and heap[0][0] > until_ps)
         if (
             until_ps is not None
             and self.now < until_ps
@@ -494,9 +152,3 @@ class Simulator:
             self.now = until_ps
         self.events_processed += processed
         return processed
-
-    @property
-    def pending(self) -> int:
-        """Deliverable events pending — counts every train element."""
-        n = len(self._heap) if self._wheel is None else len(self._wheel)
-        return n + self._train_extra

@@ -1,43 +1,46 @@
-"""Differential tests for the event-coalescing engine.
+"""Differential tests for bursts of same-time and closely spaced events.
 
-The coalescing contract is that packing an ``at_many`` block into train
-entries is *invisible*: timestamps, dispatch order, tie-breaks, the clock
-trajectory, ``events_processed`` and ``pending`` are bit-identical to the
-uncoalesced one-entry-per-event path, under both schedulers, through
-horizon cuts, event budgets and preemption re-pushes. These tests pin
-that with random bulk-scheduling cascades, with full packet workloads
-compared observable-by-observable, with train-specific engine corner
-cases, and with the scenario Runner (coalescing off vs on must produce
-byte-identical FCT rows; the existing distributed/pooled differential
-suites then extend the chain to every executor).
+Packet engines schedule bursts: a port drains its control queue as a run
+of back-to-back transmissions, and a callback often schedules several
+follow-ups at one timestamp. Each event is one heap entry, ordered by
+``(time, seq)``. These tests pin that burst-heavy cascades dispatch
+identically under both engine kernels — timestamps, tie-break order,
+clock trajectory, ``events_processed`` and ``pending`` — through horizon
+cuts and event budgets, and that every heap insertion is accounted for
+at every chunk boundary (``sched_entries == events + pending``).
 """
 
 import random
 
 import pytest
 
-from repro.experiments.fctsim import MS, build_network, run_fct_experiment
-from repro.net.sim import Simulator
-from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.distributions import DATAMINING
+from repro.net.kernel import KERNELS, compiled_available, engine_classes
 
-COMBOS = [
-    ("heap", False),
-    ("heap", True),
-    ("wheel", False),
-    ("wheel", True),
-]
+pytestmark = pytest.mark.skipif(
+    not compiled_available(),
+    reason="compiled kernel (_ckernel) not built in this environment",
+)
+
+#: The engine combinations compared; the kernel is the only axis.
+COMBOS = KERNELS
+
+CHUNKS = (
+    dict(until_ps=100_000_000, max_events=500),
+    dict(until_ps=2_000_000_000),
+    dict(max_events=50),
+    dict(max_events=3_000),
+    dict(),
+)
 
 
-def bulk_cascade(scheduler: str, coalesce: bool, seed: int, snapshots=None):
-    """Seeded self-scheduling storm built on ``at_many`` bursts.
+def burst_cascade(kernel: str, seed: int, snapshots=None):
+    """Seeded self-scheduling storm in which every callback fires a burst.
 
-    Mixes same-timestamp entries (tie-producing), sub-gap delays (train-
-    forming), and far-future delays (overflow/rotation exercising), and
-    drains in chunks with event budgets so trains get cut and resumed.
-    Returns every observable.
+    Mixes same-timestamp entries (tie-producing), sub-serialisation
+    delays, and far-future delays, and drains in chunks with event
+    budgets so bursts get cut and resumed. Returns every observable.
     """
-    sim = Simulator(scheduler=scheduler, coalesce=coalesce)
+    sim = engine_classes(kernel).Simulator()
     rng = random.Random(seed)
     trace = []
 
@@ -45,7 +48,6 @@ def bulk_cascade(scheduler: str, coalesce: bool, seed: int, snapshots=None):
         trace.append((sim.now, tag))
         # Subcritical branching (mean < 1) so every cascade dies out.
         k = rng.choices((0, 1, 2, 3), weights=(5, 3, 2, 1))[0]
-        entries = []
         for i in range(k):
             delay = rng.choice(
                 (
@@ -55,377 +57,54 @@ def bulk_cascade(scheduler: str, coalesce: bool, seed: int, snapshots=None):
                     rng.randrange(1, 5_000_000_000),
                 )
             )
-            entries.append((sim.now + delay, fire, (f"{tag}.{i}",)))
-        sim.at_many(entries)
+            sim.at(sim.now + delay, fire, f"{tag}.{i}")
 
     for i in range(40):
         sim.at(rng.randrange(0, 50_000_000), fire, str(i))
-    for chunk in (
-        dict(until_ps=100_000_000, max_events=500),
-        dict(until_ps=2_000_000_000),
-        dict(max_events=50),
-        dict(max_events=3_000),
-        dict(),
-    ):
+    for chunk in CHUNKS:
         sim.run(**chunk)
         if snapshots is not None:
-            snapshots.append((sim.now, sim.events_processed, sim.pending))
-    return tuple(trace), sim.now, sim.events_processed, sim.pending, sim
+            counters = sim.counters()
+            snapshots.append(
+                (sim.now, counters["events"], counters["pending"], counters["sched_entries"])
+            )
+    return tuple(trace), sim.now, sim.events_processed, sim.pending
 
 
 class TestDifferentialCascades:
     @pytest.mark.parametrize("seed", range(15))
     def test_all_combos_trace_identically(self, seed):
-        baseline = bulk_cascade("heap", False, seed)[:4]
-        for scheduler, coalesce in COMBOS[1:]:
-            assert bulk_cascade(scheduler, coalesce, seed)[:4] == baseline
-
-    def test_cascades_form_and_resume_trains(self):
-        # The coalescing path must actually be exercised: trains form,
-        # some get preempted/cut and re-pushed, and events still count
-        # per element.
-        total_trains = total_repushes = 0
-        for seed in range(15):
-            *_state, sim = bulk_cascade("heap", True, seed)
-            total_trains += sim.trains_formed
-            total_repushes += sim.train_repushes
-            # Every popped train dispatches at least one element through
-            # the train loop (a preempted single-element remainder is
-            # downgraded to a plain entry, so 2x is not guaranteed).
-            assert sim.train_events >= sim.trains_formed
-        assert total_trains > 50
-        assert total_repushes > 0
-
-    def test_coalescing_never_increases_pushes(self):
-        for seed in range(15):
-            off = bulk_cascade("heap", False, seed)[4]
-            on = bulk_cascade("heap", True, seed)[4]
-            assert on.sched_pushes <= off.sched_pushes
+        baseline = burst_cascade(COMBOS[0], seed)
+        assert baseline[2] > 40  # the cascade did more than its seeds
+        for kernel in COMBOS[1:]:
+            assert burst_cascade(kernel, seed) == baseline, kernel
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pending_and_events_processed_agree_at_every_chunk(self, seed):
-        # Satellite contract: the accounting observables agree between
-        # coalesced and uncoalesced runs at every chunk boundary — a
-        # budget may expire mid-train, and `pending` must keep counting
-        # deliverable elements, not scheduler entries.
+        # A budget may expire inside a burst; the accounting observables
+        # must still agree between kernels at every chunk boundary, and
+        # every insertion is either dispatched or still pending.
         snaps = {}
-        for scheduler, coalesce in COMBOS:
+        for kernel in COMBOS:
             snapshots = []
-            bulk_cascade(scheduler, coalesce, seed, snapshots)
-            snaps[(scheduler, coalesce)] = snapshots
-        baseline = snaps[("heap", False)]
-        for combo, snapshots in snaps.items():
-            assert snapshots == baseline, combo
-
-
-class TestTrainMechanics:
-    def test_at_many_ties_dispatch_in_list_order(self):
-        for coalesce in (False, True):
-            sim = Simulator(coalesce=coalesce)
-            seen = []
-            sim.at_many([(5, seen.append, ("a",)), (5, seen.append, ("b",))])
-            sim.at(5, seen.append, "c")
-            sim.run()
-            assert seen == ["a", "b", "c"], f"coalesce={coalesce}"
-
-    def test_at_many_unsorted_input_dispatches_by_time(self):
-        sim = Simulator(coalesce=True, coalesce_gap_ps=1 << 40)
-        seen = []
-        sim.at_many([(30, seen.append, (3,)), (10, seen.append, (1,)), (20, seen.append, (2,))])
-        assert sim.pending == 3
-        assert sim.trains_formed == 1
-        sim.run()
-        assert seen == [1, 2, 3]
-        assert sim.events_processed == 3
-
-    def test_empty_and_single_entry_bulk(self):
-        sim = Simulator(coalesce=True)
-        seen = []
-        sim.at_many([])
-        sim.at_many([(7, seen.append, ("x",))])
-        assert sim.trains_formed == 0
-        sim.run()
-        assert seen == ["x"]
-
-    def test_gap_split_forms_separate_groups(self):
-        sim = Simulator(coalesce=True, coalesce_gap_ps=100)
-        sink = []
-        sim.at_many(
-            [
-                (0, sink.append, (0,)),
-                (50, sink.append, (1,)),  # same group (gap 50)
-                (10_000, sink.append, (2,)),  # split (gap 9950 > 100)
-                (10_050, sink.append, (3,)),
-            ]
-        )
-        assert sim.trains_formed == 2
-        assert sim.pending == 4
-        sim.run()
-        assert sink == [0, 1, 2, 3]
-
-    def test_preempting_event_interleaves_exactly(self):
-        # A single at() landing between two train elements must dispatch
-        # between them (forcing a re-push), exactly as uncoalesced.
-        for coalesce in (False, True):
-            sim = Simulator(coalesce=coalesce, coalesce_gap_ps=1 << 40)
-            seen = []
-            sim.at_many([(10, seen.append, ("t0",)), (1000, seen.append, ("t1",))])
-            sim.at(500, seen.append, "mid")
-            sim.run()
-            assert seen == ["t0", "mid", "t1"]
-            if coalesce:
-                assert sim.train_repushes == 1
-
-    def test_budget_cuts_train_and_resumes(self):
-        sim = Simulator(coalesce=True, coalesce_gap_ps=1 << 40)
-        seen = []
-        sim.at_many([(10, seen.append, (1,)), (20, seen.append, (2,)), (30, seen.append, (3,))])
-        assert sim.run(until_ps=500, max_events=2) == 2
-        assert seen == [1, 2]
-        assert sim.now == 20  # behind the horizon by design
-        assert sim.pending == 1
-        assert sim.run(until_ps=500) == 1
-        assert seen == [1, 2, 3]
-        assert sim.now == 500
-
-    def test_horizon_cuts_train_and_resumes(self):
-        for scheduler in ("heap", "wheel"):
-            sim = Simulator(scheduler=scheduler, coalesce=True, coalesce_gap_ps=1 << 40)
-            seen = []
-            sim.at_many([(10, seen.append, (1,)), (2_000, seen.append, (2,))])
-            assert sim.run(until_ps=100) == 1
-            assert sim.now == 100 and sim.pending == 1
-            sim.run()
-            assert seen == [1, 2] and sim.now == 2_000
-
-    def test_wheel_budget_cut_of_tied_train_repushes_cleanly(self):
-        # Regression: a budget-cut train re-pushed under its original
-        # (time, seq) can tie its own consumed entry in the wheel's ready
-        # list; the insertion must compare on (time, seq) only — a
-        # full-tuple comparison falls through to the (unorderable)
-        # callback objects and raised TypeError.
-        sim = Simulator(scheduler="wheel", coalesce=True, coalesce_gap_ps=1 << 40)
-        seen = []
-        sim.at(5_000_000, seen.append, "far")
-        sim.at_many([(0, seen.append, ("a",)), (0, seen.append, ("b",))])
-        assert sim.run(max_events=1) == 1
-        assert seen == ["a"] and sim.pending == 2
-        sim.run()
-        assert seen == ["a", "b", "far"]
-
-    def test_pending_is_exact_inside_a_running_train(self):
-        # Regression: `pending` must count deliverable events exactly as
-        # the uncoalesced engine would *during* a train element's
-        # callback, not only at chunk boundaries.
-        views = {}
-        for coalesce in (False, True):
-            sim = Simulator(coalesce=coalesce, coalesce_gap_ps=1 << 40)
-            seen = []
-            probe = lambda s=sim, out=seen: out.append(s.pending)
-            sim.at_many([(5, probe, ()), (5, probe, ()), (5, probe, ())])
-            sim.run()
-            views[coalesce] = seen
-        assert views[True] == views[False] == [2, 1, 0]
-
-    def test_budget_exhausted_on_last_train_element_does_not_advance(self):
-        # The engine's budget-on-last-event clock contract, hit mid-train.
-        for scheduler in ("heap", "wheel"):
-            sim = Simulator(scheduler=scheduler, coalesce=True, coalesce_gap_ps=1 << 40)
-            sim.at_many([(10, lambda: None, ()), (20, lambda: None, ())])
-            assert sim.run(until_ps=500, max_events=2) == 2
-            assert sim.now == 20, scheduler
-            assert sim.run(until_ps=500, max_events=5) == 0
-            assert sim.now == 500
-
-
-class TestSchedulingErrors:
-    def test_past_at_names_callback_and_scheduler(self):
-        sim = Simulator(scheduler="heap")
-        sim.run(until_ps=100)
-
-        def my_callback():
-            pass  # pragma: no cover - never runs
-
-        with pytest.raises(ValueError) as err:
-            sim.at(50, my_callback)
-        message = str(err.value)
-        assert "my_callback" in message
-        assert "'heap'" in message
-        assert "50 < now=100" in message
-
-    def test_past_after_names_callback_and_scheduler(self):
-        sim = Simulator(scheduler="wheel")
-        with pytest.raises(ValueError, match=r"append.*'wheel'"):
-            sim.after(-1, [].append)
-
-    def test_past_at_many_names_offending_entry(self):
-        for coalesce in (False, True):
-            sim = Simulator(coalesce=coalesce)
-            sim.run(until_ps=100)
-
-            def late():
-                pass  # pragma: no cover - never runs
-
-            with pytest.raises(ValueError, match="late"):
-                sim.at_many([(200, lambda: None, ()), (50, late, ())])
-
-    def test_qualname_fallback_for_odd_callables(self):
-        from functools import partial
-
-        sim = Simulator()
-        sim.run(until_ps=10)
-        with pytest.raises(ValueError, match="partial"):
-            sim.at(5, partial(print, "x"))
-
-
-def packet_workload(scheduler: str, coalesce: bool, kind: str = "opera", seed: int = 11):
-    """A small mixed fig07-style run; returns the full observable state."""
-    import os
-
-    saved = {
-        key: os.environ.get(key) for key in ("REPRO_SCHEDULER", "REPRO_COALESCE")
-    }
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    os.environ["REPRO_COALESCE"] = "1" if coalesce else "0"
-    try:
-        net = build_network(kind, k=8, n_racks=8, seed=seed)
-        arrivals = PoissonArrivals(
-            DATAMINING.truncated(500_000),
-            load=0.15,
-            n_hosts=len(net.hosts),
-            hosts_per_rack=4,
-            seed=seed,
-        )
-        threshold = getattr(
-            getattr(net, "network", None), "bulk_threshold_bytes", 1 << 62
-        )
-        for flow in arrivals.flows(duration_ps=int(1.0 * MS)):
-            if flow.size_bytes >= threshold:
-                net.start_bulk_flow(
-                    flow.src_host, flow.dst_host, flow.size_bytes, flow.time_ps
-                )
-            else:
-                net.start_low_latency_flow(
-                    flow.src_host, flow.dst_host, flow.size_bytes, flow.time_ps
-                )
-        net.run(until_ps=int(5.0 * MS))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    ports = {}
-    for host in net.hosts:
-        ports[f"nic{host.host_id}"] = host.nic
-    ports.update({f"down{h}": p for h, p in getattr(net, "host_ports", {}).items()})
-    for i, group in enumerate(getattr(net, "uplink_ports", [])):
-        ports.update({f"up{i}.{w}": p for w, p in group.items()})
-    return {
-        "events": net.sim.events_processed,
-        "final_now": net.sim.now,
-        "pending": net.sim.pending,
-        "fcts": [
-            (fid, rec.fct_ps, rec.delivered_bytes, rec.retransmissions)
-            for fid, rec in sorted(net.stats.flows.items())
-        ],
-        "port_stats": {
-            name: (
-                p.stats.sent_packets,
-                p.stats.sent_bytes,
-                p.stats.trimmed,
-                p.stats.dropped_control,
-                p.stats.dropped_bulk,
-                p.stats.undeliverable,
-            )
-            for name, p in ports.items()
-        },
-        "drops": [tor.drops for tor in getattr(net, "tors", [])],
-        "trains": net.sim.trains_formed,
-    }
+            burst_cascade(kernel, seed, snapshots)
+            snaps[kernel] = snapshots
+            for _now, events, pending, entries in snapshots:
+                assert entries == events + pending, kernel
+        baseline = snaps[COMBOS[0]]
+        for kernel, snapshots in snaps.items():
+            assert snapshots == baseline, kernel
 
 
 class TestPacketWorkloadDifferential:
-    def test_opera_bit_identical_across_all_combos(self):
-        baseline = packet_workload("heap", False)
-        for scheduler, coalesce in COMBOS[1:]:
-            run = packet_workload(scheduler, coalesce)
-            for key in ("events", "final_now", "pending", "fcts", "port_stats", "drops"):
-                assert run[key] == baseline[key], (scheduler, coalesce, key)
-
-    def test_coalesced_run_actually_forms_trains(self):
-        assert packet_workload("heap", True)["trains"] > 100
-
-    def test_fct_harness_coalesce_param(self):
-        # run_fct_experiment(coalesce=...) pins identical buckets both ways.
-        kwargs = dict(
-            distribution=DATAMINING,
-            load=0.05,
-            duration_ms=0.4,
-            k=8,
-            n_racks=8,
-            seed=3,
-        )
-        on = run_fct_experiment("rotornet-hybrid", coalesce=True, **kwargs)
-        off = run_fct_experiment("rotornet-hybrid", coalesce=False, **kwargs)
-        assert on == off
-        assert on.n_flows > 0
-
-
-class TestRunnerDifferential:
-    """Coalescing off == on through the scenario Runner.
-
-    The existing sharding/distributed suites pin pooled == distributed ==
-    in-process under the ambient (coalesced) default; this differential
-    closes the loop: legacy == coalesced in-process, hence legacy equals
-    every executor's output.
-    """
-
-    OVERRIDES = {
-        "loads": (0.02, 0.05),
-        "networks": ("opera", "rotornet"),
-        "duration_ms": 0.4,
-        "scale": "ci",
-    }
-
-    def test_fig07_rows_identical_with_coalescing_off(self, monkeypatch):
-        from repro.scenarios import Runner
-
-        monkeypatch.delenv("REPRO_COALESCE", raising=False)
-        on = Runner(cache=None).execute("fig07", **self.OVERRIDES)
-        monkeypatch.setenv("REPRO_COALESCE", "0")
-        off = Runner(cache=None).execute("fig07", **self.OVERRIDES)
-        assert on == off
-
-    @pytest.mark.parametrize(
-        "name,overrides",
-        [
-            (
-                "fig09",
-                {
-                    "loads": (0.02,),
-                    "networks": ("opera", "clos"),
-                    "duration_ms": 0.4,
-                    "scale": "ci",
-                },
-            ),
-            (
-                "ablation_vlb",
-                {
-                    "fluid_racks": 12,
-                    "fluid_demand_bytes": 2e6,
-                    "packet_flow_bytes": 200_000,
-                },
-            ),
-        ],
-    )
-    def test_packet_scenarios_identical_with_coalescing_off(
-        self, monkeypatch, name, overrides
-    ):
-        from repro.scenarios import Runner
-
-        monkeypatch.delenv("REPRO_COALESCE", raising=False)
-        on = Runner(cache=None).execute(name, **overrides)
-        monkeypatch.setenv("REPRO_COALESCE", "0")
-        off = Runner(cache=None).execute(name, **overrides)
-        assert on == off
+    def test_opera_bit_identical_across_all_combos(self, packet_workload, monkeypatch):
+        # Opera's NDP control bursts (PULLs, NACKs, trimmed headers) are the
+        # packet-level source of same-time runs.
+        runs = {}
+        for kernel in COMBOS:
+            monkeypatch.setenv("REPRO_KERNEL", kernel)
+            runs[kernel] = packet_workload(kind="opera", seed=5)
+        baseline = runs[COMBOS[0]]
+        assert baseline["events"] > 10_000
+        for kernel, run in runs.items():
+            assert run == baseline, kernel

@@ -7,9 +7,8 @@ Three contracts are pinned here:
   timeout clock plus RotorLB re-offloading then recover every affected
   flow that is physically recoverable: goodput dips, nothing wedges.
 * **Invisibility** — an armed-but-empty failure subsystem is bitwise
-  identical to an uninstalled one, and ``REPRO_KERNEL=py`` == ``c`` under
-  *active* failures, across scheduler x coalesce combos (the PR 2/5/6
-  differential chain extended with the failure axis).
+  identical to an uninstalled one under both kernels, and
+  ``REPRO_KERNEL=py`` == ``c`` under *active* failures.
 * **Differential reachability** — the packet engine's observed steady-state
   reachability under a failure set matches the static analysis exactly:
   a pair completes iff :meth:`OperaRouting.any_slice_reachable` says some
@@ -29,8 +28,6 @@ from repro.net.kernel import compiled_available
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.distributions import DATAMINING
 
-from test_coalescing import COMBOS
-
 requires_c = pytest.mark.skipif(
     not compiled_available(),
     reason="compiled kernel (_ckernel) not built in this environment",
@@ -46,8 +43,6 @@ def build_net(seed: int = 0) -> OperaSimNetwork:
 def fault_workload(
     schedule: FailureSchedule | None,
     kernel: str = "py",
-    scheduler: str = "heap",
-    coalesce: bool = True,
     seed: int = 7,
     load: float = 0.12,
     duration_ms: float = 1.0,
@@ -58,13 +53,8 @@ def fault_workload(
     these dicts wholesale)."""
     import os
 
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_COALESCE")
-    }
+    saved = os.environ.get("REPRO_KERNEL")
     os.environ["REPRO_KERNEL"] = kernel
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    os.environ["REPRO_COALESCE"] = "1" if coalesce else "0"
     try:
         net = build_net(seed=11)
         injector = (
@@ -89,11 +79,10 @@ def fault_workload(
                 )
         net.run(until_ps=int(horizon_ms * MS))
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = saved
     stats = net.stats
     return {
         "events": net.sim.events_processed,
@@ -373,17 +362,10 @@ class TestDynamicRecovery:
 
 
 class TestArmedButEmptyIdentity:
-    def test_bitwise_identical_across_scheduler_and_coalesce(self):
-        baseline = observables(fault_workload(None, scheduler="heap", coalesce=False))
-        for scheduler, coalesce in COMBOS:
-            armed = observables(
-                fault_workload(
-                    FailureSchedule.empty(),
-                    scheduler=scheduler,
-                    coalesce=coalesce,
-                )
-            )
-            assert armed == baseline, (scheduler, coalesce)
+    def test_bitwise_identical_under_python_kernel(self):
+        plain = observables(fault_workload(None, kernel="py"))
+        armed = observables(fault_workload(FailureSchedule.empty(), kernel="py"))
+        assert armed == plain
 
     @requires_c
     def test_bitwise_identical_under_compiled_kernel(self):
@@ -404,21 +386,6 @@ class TestKernelIdentityUnderFailures:
         ck = observables(fault_workload(self._schedule(), kernel="c"))
         assert ck == py
         assert py["blackholed_packets"] > 0  # the differential is not vacuous
-
-    def test_py_c_bitwise_across_combos(self):
-        baseline = observables(
-            fault_workload(self._schedule(), kernel="py", scheduler="heap", coalesce=False)
-        )
-        for scheduler, coalesce in COMBOS:
-            run = observables(
-                fault_workload(
-                    self._schedule(),
-                    kernel="c",
-                    scheduler=scheduler,
-                    coalesce=coalesce,
-                )
-            )
-            assert run == baseline, (scheduler, coalesce)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 The kernel contract is that the compiled fast path is *invisible*: a run
 under ``REPRO_KERNEL=c`` must be bit-identical to the pure-Python oracle
 (``REPRO_KERNEL=py``) — same timestamps, tie-breaks, FCT rows, hop and
-drop counts, ``events_processed`` and ``pending`` — across every other
-engine axis (scheduler x coalesce x executor). These tests extend the
-PR 2/PR 5 differential pattern with the kernel axis: random event
-cascades, full packet workloads on every network kind compared
+drop counts, ``events_processed`` and ``pending`` — under every
+executor. These tests pin that with random event cascades, full packet
+workloads on every network kind compared
 observable-by-observable, scenario Runner rows (including a distributed
 smoke run whose spawned workers inherit the kernel selection), and the
 seam mechanics themselves (env parsing, graceful fallback when the
@@ -21,8 +20,6 @@ import pytest
 from repro.net import kernel as kernel_mod
 from repro.net.kernel import compiled_available, engine_classes, kernel_default
 
-from test_coalescing import COMBOS, packet_workload
-
 requires_c = pytest.mark.skipif(
     not compiled_available(),
     reason="compiled kernel (_ckernel) not built in this environment",
@@ -31,19 +28,15 @@ requires_c = pytest.mark.skipif(
 NETWORK_KINDS = ["opera", "expander", "clos", "rotornet", "rotornet-hybrid"]
 
 
-def kernel_workload(kernel, scheduler, coalesce, kind="opera", seed=11, monkeypatch=None):
+@pytest.fixture
+def kernel_workload(packet_workload, monkeypatch):
     """packet_workload with the kernel axis pinned via the env seam."""
-    import os
 
-    saved = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = kernel
-    try:
-        return packet_workload(scheduler, coalesce, kind=kind, seed=seed)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = saved
+    def run(kernel, kind="opera", seed=11):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        return packet_workload(kind=kind, seed=seed)
+
+    return run
 
 
 class TestKernelSeam:
@@ -111,23 +104,23 @@ class TestKernelSeam:
             assert engine_classes("auto").name == "py"
 
 
-def kernel_cascade(kernel, scheduler, coalesce, seed):
+def kernel_cascade(kernel, seed):
     """Seeded self-scheduling storm on the selected kernel's Simulator."""
-    sim_cls = engine_classes(kernel).Simulator
-    sim = sim_cls(scheduler=scheduler, coalesce=coalesce)
+    sim = engine_classes(kernel).Simulator()
     rng = random.Random(seed)
     trace = []
 
     def fire(tag):
         trace.append((sim.now, tag))
         k = rng.choices((0, 1, 2, 3), weights=(5, 3, 2, 1))[0]
-        entries = []
         for i in range(k):
             delay = rng.choice(
                 (0, rng.randrange(1, 80_000), rng.randrange(1, 5_000_000_000))
             )
-            entries.append((sim.now + delay, fire, (f"{tag}.{i}",)))
-        sim.at_many(entries)
+            if rng.random() < 0.5:
+                sim.after(delay, fire, f"{tag}.{i}")
+            else:
+                sim.at(sim.now + delay, fire, f"{tag}.{i}")
 
     for i in range(40):
         sim.at(rng.randrange(0, 50_000_000), fire, str(i))
@@ -145,12 +138,9 @@ def kernel_cascade(kernel, scheduler, coalesce, seed):
 class TestKernelCascades:
     @pytest.mark.parametrize("seed", range(10))
     def test_cascades_identical_across_kernel_and_combos(self, seed):
-        baseline = kernel_cascade("py", "heap", False, seed)
-        for scheduler, coalesce in COMBOS:
-            assert kernel_cascade("c", scheduler, coalesce, seed) == baseline, (
-                scheduler,
-                coalesce,
-            )
+        # Each cascade combines at/after scheduling with budgeted and
+        # horizon-cut drains.
+        assert kernel_cascade("c", seed) == kernel_cascade("py", seed)
 
     def test_compiled_run_loop_is_exercised(self):
         # The c cascade must actually run through CKSimulator.run — pin
@@ -168,26 +158,19 @@ class TestKernelPacketDifferential:
     OBSERVABLES = ("events", "final_now", "pending", "fcts", "port_stats", "drops")
 
     @pytest.mark.parametrize("kind", NETWORK_KINDS)
-    def test_every_network_kind_bit_identical(self, kind):
-        py = kernel_workload("py", "heap", True, kind=kind)
-        ck = kernel_workload("c", "heap", True, kind=kind)
+    def test_every_network_kind_bit_identical(self, kernel_workload, kind):
+        py = kernel_workload("py", kind=kind)
+        ck = kernel_workload("c", kind=kind)
         for key in self.OBSERVABLES:
             assert ck[key] == py[key], (kind, key)
         # The runs do real work (the differential is not vacuous).
         assert py["events"] > 1_000 and py["fcts"]
 
-    def test_opera_bit_identical_across_scheduler_and_coalesce(self):
-        baseline = kernel_workload("py", "heap", False)
-        for scheduler, coalesce in COMBOS:
-            run = kernel_workload("c", scheduler, coalesce)
-            for key in self.OBSERVABLES:
-                assert run[key] == baseline[key], (scheduler, coalesce, key)
-
-    def test_retransmission_path_is_exercised_and_identical(self):
+    def test_retransmission_path_is_exercised_and_identical(self, kernel_workload):
         # Higher load on the small fabric forces trims -> NACK -> rtx, so
         # the kernel's NACK/PULL handlers are differentially covered.
-        py = kernel_workload("py", "heap", True, kind="clos", seed=5)
-        ck = kernel_workload("c", "heap", True, kind="clos", seed=5)
+        py = kernel_workload("py", kind="clos", seed=5)
+        ck = kernel_workload("c", kind="clos", seed=5)
         assert py["fcts"] == ck["fcts"]
         assert any(rtx for _fid, _fct, _b, rtx in py["fcts"]) or any(
             t for *_s, t in [(s[2],) for s in py["port_stats"].values()]
@@ -282,14 +265,13 @@ def big_time_trace(kernel):
             step = rng.choice((0, rng.randrange(1, 50_000_000)))
             if sim.now + step <= top:
                 sim.after(step, fire, tag + 1)
-            sim.at_many(
-                [(min(top, sim.now + rng.randrange(0, 90_000_000)), fire, (tag + 7,))
-                 for _ in range(rng.randrange(0, 3))]
-            )
+            for _ in range(rng.randrange(0, 3)):
+                sim.at(min(top, sim.now + rng.randrange(0, 90_000_000)), fire, tag + 7)
 
     sim.at(base, fire, 0)
     sim.at(top, fire, 1_000)
-    sim.at_many([(base + i * 7_000_000, fire, (100 + i,)) for i in range(5)])
+    for i in range(5):
+        sim.at(base + i * 7_000_000, fire, 100 + i)
     sim.run(until_ps=base + 1_000_000_000, max_events=150)
     sim.run(until_ps=top)
     return tuple(trace), sim.now, sim.events_processed, sim.pending
@@ -326,12 +308,6 @@ class TestInt64Boundary:
         with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
             sim.after(self.LIMIT - 5, self.noop)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_at_many(self, n):
-        entries = [(5, self.noop, ())] * (n - 1) + [(self.LIMIT, self.noop, ())]
-        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
-            self.sim().at_many(entries)
-
     def test_run(self):
         with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
             self.sim().run(until_ps=self.LIMIT)
@@ -361,7 +337,7 @@ def test_microbench_profile_honours_kernels(monkeypatch, capsys, argv, expected)
     mb = importlib.import_module("engine_microbench")
     profiled = []
 
-    def tiny_run_network(kind, scheduler, coalesce=True, kernel="py"):
+    def tiny_run_network(kind, kernel="py"):
         profiled.append(kernel)
         sim = engine_classes(kernel).Simulator()
         sim.at(5, sys.getrecursionlimit)
@@ -377,3 +353,27 @@ def test_microbench_profile_honours_kernels(monkeypatch, capsys, argv, expected)
     for kernel in expected:
         assert f"REPRO_KERNEL={kernel}" in out
     assert out.count("event loop:") == len(expected)
+
+
+@pytest.mark.parametrize("kernel", ["py", pytest.param("c", marks=requires_c)])
+def test_sched_entries_are_events_plus_pending(monkeypatch, kernel):
+    # One heap entry per event: every insertion on a ci-scale fig07 opera
+    # cell has either been dispatched or is still pending after the run.
+    from repro.experiments import fctsim
+
+    built = []
+    build = fctsim.build_network
+
+    def capture(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    monkeypatch.setattr(fctsim, "build_network", capture)
+    fctsim.run_fct_cell("opera", 0.1, "datamining", 4.0, 0, "ci")
+    (net,) = built
+    assert net.kernel.name == kernel
+    counters = net.sim.counters()
+    assert set(counters) == {"events", "sched_entries", "pending"}
+    assert counters["sched_entries"] == counters["events"] + net.sim.pending
+    assert counters["events"] > 10_000
